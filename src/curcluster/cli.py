@@ -121,7 +121,7 @@ def _write_report(path, records) -> None:
             writer.writerow([rec.get(col, "") for col in REPORT_HEADER])
 
 
-def _proto_config_from_args(args, n_cols: int) -> pipeline.ProtoConfig:
+def _proto_config_from_args(args) -> pipeline.ProtoConfig:
     return pipeline.ProtoConfig(
         m_subspaces=args.M,
         target_rank=args.rank,
@@ -148,7 +148,7 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
         return labels, None, f"dmax={args.dmax}"
     if args.algo == "proto":
         _require(parser, args, ["--M", "--rank"])
-        cfg = _proto_config_from_args(args, w.shape[1])
+        cfg = _proto_config_from_args(args)
         labels = pipeline.proto_cluster(w, cfg)
         params = (
             f"M={args.M};rank={args.rank};k={args.k};rows={cfg.rows()};"

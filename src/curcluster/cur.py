@@ -4,7 +4,8 @@ A CUR factorization picks index sets I (rows) and J (columns) of a
 matrix A and forms C = A[:, J], R = A[I, :] and U = A[I, J]; whenever
 rank(U) = rank(A) the identity A = C pinv(U) R holds exactly.  Rows and
 columns are selected uniformly at random; a draw whose U has deficient
-rank is rejected and retried.
+rank is rejected and retried.  Each draw takes one SVD, of U, for both the
+rank test and Y = pinv(U) R; the pipelines compute rank(A) once and pass it in.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, numerical_rank
+from .linalg import _pinv_from_svd, _rank_cutoff, as_matrix, numerical_rank, pinv
 
 
 class RankDeficientSelection(ValueError):
@@ -63,8 +64,6 @@ class CurFactors:
     selection: IndexSelection
 
     def reconstruct(self) -> np.ndarray:
-        from .linalg import pinv
-
         return self.c @ pinv(self.u) @ self.r
 
 
@@ -105,6 +104,28 @@ def cur_factorize(a, selection: IndexSelection) -> CurFactors:
     return factors
 
 
+def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
+    """Rank an s x k U must reach; no selection can exceed rank(A) itself."""
+    if s < 1 or k < 1:
+        raise ValueError("s and k must be >= 1")
+    required = min(target_rank, s, k, rank_a)
+    if required < 1:
+        raise SelectionFailed(0, "target rank 0 is degenerate")
+    return required
+
+
+def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries: int):
+    """First selection of validated `a` with rank(U) >= `required`, and its Y."""
+    m, n = a.shape
+    for attempt in range(max_retries):
+        selection = select_uniform(m, n, s, k, seed + attempt)
+        u = a[np.ix_(selection.row_indices, selection.col_indices)]
+        svd = np.linalg.svd(u, full_matrices=False)
+        if np.sum(svd[1] > _rank_cutoff(svd[1], u.shape)) >= required:
+            return selection, _pinv_from_svd(*svd) @ a[selection.row_indices, :]
+    raise SelectionFailed(max_retries)
+
+
 def cur_sample(
     a,
     s: int,
@@ -123,19 +144,6 @@ def cur_sample(
     deterministic.
     """
     a = as_matrix(a)
-    if s < 1 or k < 1:
-        raise ValueError("s and k must be >= 1")
     rank_a = numerical_rank(a)
-    if target_rank is None:
-        target_rank = rank_a
-    # no selection can exceed the rank of the matrix itself
-    required = min(target_rank, s, k, rank_a)
-    if required < 1:
-        raise SelectionFailed(0, "target rank 0 is degenerate")
-    m, n = a.shape
-    for attempt in range(max_retries):
-        selection = select_uniform(m, n, s, k, seed + attempt)
-        factors = _extract(a, selection)
-        if numerical_rank(factors.u) >= required:
-            return factors
-    raise SelectionFailed(max_retries)
+    required = _required_rank(rank_a if target_rank is None else target_rank, s, k, rank_a)
+    return _extract(a, _sample(a, s, k, required, seed, max_retries)[0])

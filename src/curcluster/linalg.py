@@ -4,7 +4,8 @@ All routines operate on real 2-d numpy arrays and validate their inputs
 (no NaN/Inf is ever admitted).  The numerical-rank convention used
 everywhere is a singular value cutoff of ``RANK_TOL * max(m, n)`` relative
 to the largest singular value; `cur` and `simgen` rely on this being a
-single shared constant.
+single shared constant.  The CUR sampler applies `_rank_cutoff` and
+`_pinv_from_svd` to the one SVD of U it takes per draw.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ def skinny_svd(a, r: int) -> SvdTriple:
         raise ValueError(f"r={r} out of range for shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = min(r, int(np.sum(s > _rank_cutoff(s, a.shape))))
-    keep = max(keep, 0)
     return SvdTriple(left=u[:, :keep], singulars=s[:keep], right=vt[:keep].T)
 
 
@@ -85,8 +85,12 @@ def pinv(a) -> np.ndarray:
     roughly 1e-9 relative accuracy.
     """
     a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = _rank_cutoff(s, a.shape)
+    return _pinv_from_svd(*np.linalg.svd(a, full_matrices=False))
+
+
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of the matrix whose skinny SVD is (u, s, vt)."""
+    cutoff = _rank_cutoff(s, (u.shape[0], vt.shape[1]))
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 

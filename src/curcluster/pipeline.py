@@ -16,8 +16,8 @@ import numpy as np
 from . import cluster as _cluster
 from . import simgen
 from .cluster import LabelVector
-from .cur import cur_sample
-from .linalg import as_matrix, pinv
+from .cur import _required_rank, _sample
+from .linalg import as_matrix, numerical_rank, pinv
 
 BACKENDS = ("pcc", "spectral", "kmeans")
 
@@ -107,27 +107,33 @@ def cluster_noise_free(w, d_max: int, kind: str = "absolute") -> LabelVector:
     return _cluster.connected_components(sim)
 
 
+def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, max_retries,
+                      transform, provenance) -> simgen.SimilarityMatrix:
+    """Entrywise median of transform(Y), one CUR trial per seed (simgen looked up per call)."""
+    required = _required_rank(target_rank, rows, cols, rank_w)
+    sims = [transform(_sample(w, rows, cols, required, seed, max_retries)[1]) for seed in seeds]
+    return simgen.median_aggregate(sims, provenance=provenance)
+
+
+def _unit_gram(y: np.ndarray) -> np.ndarray:
+    y = simgen.normalize_columns(y)
+    return y.T @ y
+
+
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     """Median of n_trials thresholded CUR similarity matrices of `w`."""
     w = as_matrix(w)
-    m, n = w.shape
-    if config.target_rank > min(m, n):
+    if config.target_rank > min(w.shape):
         raise ValueError("target_rank exceeds min(m, n)")
-    trial_sims = []
-    for i in range(config.n_trials):
-        factors = cur_sample(
-            w,
-            s=config.rows(),
-            k=config.cols(n),
-            seed=config.seed + i,
-            max_retries=config.max_retries,
-            target_rank=config.target_rank,
-        )
-        y = simgen.coefficient_matrix(factors)
+
+    def pinned_gram(y):
         y = simgen.threshold_volumetric(y, config.m_subspaces)
-        xi = simgen.enforce_diagonal(y.T @ y)
-        trial_sims.append(xi)
-    return simgen.median_aggregate(trial_sims, provenance=f"proto(k={config.n_trials})")
+        return simgen.enforce_diagonal(y.T @ y)
+
+    seeds = range(config.seed, config.seed + config.n_trials)
+    return _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
+                             config.target_rank, seeds, config.max_retries, pinned_gram,
+                             f"proto(k={config.n_trials})")
 
 
 def proto_cluster(w, config: ProtoConfig) -> LabelVector:
@@ -156,25 +162,16 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     m, n = w.shape
     if config.r_max > min(m, n):
         raise ValueError(f"r_max={config.r_max} exceeds min(m, n)={min(m, n)}")
+    rank_w = numerical_rank(w)
     best = None
     ncut_per_rank = []
     for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
-        trial_sims = []
-        for i in range(config.n_trials):
-            factors = cur_sample(
-                w,
-                s=r,
-                k=n,
-                seed=config.seed + i + 1000 * rank_index,
-                max_retries=config.max_retries,
-                target_rank=r,
-            )
-            y = simgen.coefficient_matrix(factors)
-            y = simgen.normalize_columns(y)
-            trial_sims.append(y.T @ y)
-        sim = simgen.median_aggregate(trial_sims, provenance=f"rcur(r={r})")
+        rank_seed = config.seed + 1000 * rank_index
+        seeds = range(rank_seed, rank_seed + config.n_trials)
+        sim = _median_of_trials(w, rank_w, r, n, r, seeds, config.max_retries, _unit_gram,
+                                f"rcur(r={r})")
         powered = simgen.elementwise_power(sim, config.alpha)
-        labels = _cluster.spectral_cluster(powered, m_subspaces, config.seed + 1000 * rank_index)
+        labels = _cluster.spectral_cluster(powered, m_subspaces, rank_seed)
         ncut = _cluster.ncut_value(powered, labels)
         ncut_per_rank.append((r, ncut))
         if best is None or ncut < best[1]:

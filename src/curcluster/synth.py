@@ -8,7 +8,7 @@ i.i.d. Gaussian noise of a chosen standard deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,16 +149,7 @@ def run_sweep(
             instance = sample_instance(
                 model, [points_per_subspace] * len(case_dims), sigma, inst_seed + 1
             )
-            cfg = ProtoConfig(
-                m_subspaces=proto.m_subspaces,
-                target_rank=proto.target_rank,
-                n_trials=proto.n_trials,
-                rows_per_trial=proto.rows_per_trial,
-                cols_per_trial=proto.cols_per_trial,
-                backend=proto.backend,
-                seed=proto.seed + inst_seed,
-                max_retries=proto.max_retries,
-            )
+            cfg = replace(proto, seed=proto.seed + inst_seed)
             predicted = proto_cluster(instance.data, cfg)
             errors.append(clustering_error(predicted, instance.truth))
         errors = np.asarray(errors)

@@ -5,11 +5,14 @@ from curcluster.cur import (
     IndexSelection,
     RankDeficientSelection,
     SelectionFailed,
+    _required_rank,
+    _sample,
     cur_factorize,
     cur_sample,
     select_uniform,
 )
 from curcluster.linalg import numerical_rank, pinv
+from curcluster.simgen import coefficient_matrix
 
 
 def planted(rng, m, n, rank):
@@ -131,6 +134,40 @@ class TestCurSample:
         a = planted(rng, 10, 10, 3)
         f = cur_sample(a, 5, 10, seed=1, target_rank=5)
         assert numerical_rank(f.u) == 3
+
+
+def hidden_rank(rng):
+    """Rank 3 carried by the first 3 of 20 rows and columns, so most draws miss it."""
+    a = np.zeros((20, 20))
+    a[:3, :3] = rng.standard_normal((3, 3))
+    return a
+
+
+class TestSampler:
+    """The one-SVD sampler behind cur_sample and the pipelines."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_selection_as_rank_check_loop(self, rng, seed):
+        a = hidden_rank(rng)
+        required = _required_rank(3, 12, 12, numerical_rank(a))
+        # the draw a separate numerical_rank(U) per attempt would accept
+        for attempt in range(100):
+            expected = select_uniform(20, 20, 12, 12, seed + attempt)
+            u = a[np.ix_(expected.row_indices, expected.col_indices)]
+            if numerical_rank(u) >= required:
+                break
+        selection, _ = _sample(a, 12, 12, required, seed, max_retries=100)
+        factors = cur_sample(a, 12, 12, seed=seed, target_rank=3)
+        for got in (selection, factors.selection):
+            np.testing.assert_array_equal(got.row_indices, expected.row_indices)
+            np.testing.assert_array_equal(got.col_indices, expected.col_indices)
+
+    @pytest.mark.parametrize("s, k", [(4, 20), (6, 9), (20, 20)])
+    def test_y_is_coefficient_matrix(self, rng, s, k):
+        a = planted(rng, 20, 20, 4) + 1e-3 * rng.standard_normal((20, 20))
+        factors = cur_sample(a, s, k, seed=3, target_rank=4)
+        _, y = _sample(a, s, k, _required_rank(4, s, k, numerical_rank(a)), 3, 100)
+        np.testing.assert_array_equal(y, coefficient_matrix(factors))
 
 
 class TestExactReconstructionProperty:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import union_instance
+from curcluster import cur
 from curcluster.cluster import LabelVector, clustering_error, ncut_value
+from curcluster.cur import SelectionFailed
 from curcluster.pipeline import (
     ProtoConfig,
     RcurConfig,
@@ -201,3 +203,72 @@ class TestRcurCluster:
         np.testing.assert_array_equal(a.labels.labels, b.labels.labels)
         assert a.r_best == b.r_best
         assert a.ncut_per_rank == b.ncut_per_rank
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count np.linalg.svd and select_uniform calls made while the test runs."""
+    calls = {"svd": 0, "select": 0}
+    svd, select = np.linalg.svd, cur.select_uniform
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_select(*args, **kwargs):
+        calls["select"] += 1
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cur, "select_uniform", counting_select)
+    return calls
+
+
+class TestOneSvdPerTrial:
+    """rank(W) once per pipeline call, then one SVD of U per accepted draw."""
+
+    def noisy(self):
+        model = random_union_model(30, [3, 3], seed=40)
+        return sample_instance(model, [10, 10], 0.01, seed=41)
+
+    def test_proto(self, counted):
+        cfg = ProtoConfig(m_subspaces=2, target_rank=6, n_trials=7, seed=2)
+        proto_similarity(self.noisy().data, cfg)
+        assert counted["select"] == 7  # every first draw was rank-sufficient
+        assert counted["svd"] == 1 + 7
+
+    def test_rcur(self, counted):
+        cfg = RcurConfig(r_min=3, r_max=6, alpha=2.0, n_trials=5, seed=1)
+        rcur_cluster(self.noisy().data, 2, cfg)
+        assert counted["select"] == 4 * 5
+        # eigh, not svd, embeds the spectral step
+        assert counted["svd"] == 1 + 4 * 5
+
+
+class TestDegenerateInput:
+    def test_zero_matrix_proto(self):
+        cfg = ProtoConfig(m_subspaces=2, target_rank=2, n_trials=2)
+        with pytest.raises(SelectionFailed, match="target rank 0 is degenerate"):
+            proto_cluster(np.zeros((6, 6)), cfg)
+
+    def test_zero_matrix_rcur(self):
+        cfg = RcurConfig(r_min=2, r_max=3, alpha=2.0, n_trials=2)
+        with pytest.raises(SelectionFailed, match="target rank 0 is degenerate"):
+            rcur_cluster(np.zeros((6, 6)), 2, cfg)
+
+    def rank4(self):
+        model = random_union_model(30, [2, 2], seed=50)
+        return sample_instance(model, [8, 8], 0.0, seed=51)
+
+    def test_proto_target_above_data_rank(self):
+        inst = self.rank4()
+        cfg = ProtoConfig(m_subspaces=2, target_rank=7, n_trials=5, seed=0)
+        labels = proto_cluster(inst.data, cfg)
+        assert clustering_error(labels, inst.truth) == 0.0
+
+    def test_rcur_ranks_above_data_rank(self):
+        inst = self.rank4()
+        cfg = RcurConfig(r_min=3, r_max=7, alpha=2.0, n_trials=5, seed=0)
+        result = rcur_cluster(inst.data, 2, cfg)
+        assert [r for r, _ in result.ncut_per_rank] == [3, 4, 5, 6, 7]
+        assert clustering_error(result.labels, inst.truth) == 0.0
