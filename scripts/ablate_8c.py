@@ -132,9 +132,10 @@ def spectral(self_loops=False, normalized=True, unit_rows=True, power=1.0):
     return apply
 
 
-def pin_after_median(sims, provenance="median"):
+def pin_after_median(stack):
     """Median of unpinned trial Gram matrices, diagonal pinned afterwards."""
-    return ORIGINAL_ENFORCE_DIAGONAL(ORIGINAL_MEDIAN(sims, provenance))
+    med = ORIGINAL_MEDIAN(stack)
+    return simgen.SimilarityMatrix(ORIGINAL_ENFORCE_DIAGONAL(med.entries), med.kind)
 
 
 def random_labels(w, config):

@@ -1,4 +1,8 @@
-"""Subspace clustering via exact and randomized CUR (skeleton) decompositions."""
+"""Subspace clustering via exact and randomized CUR (skeleton) decompositions.
+
+`__all__` is the public boundary, where matrix inputs are validated; the
+per-trial kernels take trusted arrays and stay in `curcluster.simgen`.
+"""
 
 from .cluster import (
     LabelVector,
@@ -37,14 +41,9 @@ from .pipeline import (
 from .simgen import (
     SimilarityMatrix,
     coefficient_matrix,
-    elementwise_power,
-    enforce_diagonal,
     gram_similarity,
-    median_aggregate,
-    normalize_columns,
     sim_baseline,
     similarity_noise_free,
-    threshold_volumetric,
 )
 from .synth import (
     SyntheticInstance,
@@ -53,5 +52,17 @@ from .synth import (
     run_sweep,
     sample_instance,
 )
+
+__all__ = [
+    "CurFactors", "IndexSelection", "LabelVector", "ProtoConfig",
+    "RankDeficientSelection", "RcurConfig", "RcurResult", "SelectionFailed",
+    "SimilarityMatrix", "SvdTriple", "SyntheticInstance", "UnionModel",
+    "cluster_noise_free", "clustering_error", "coefficient_matrix",
+    "connected_components", "cur_factorize", "cur_sample", "gram_similarity",
+    "kmeans", "matrix_power", "ncut_value", "nuclear_norm", "numerical_rank",
+    "pcc_cluster", "pinv", "proto_cluster", "random_union_model", "rcur_cluster",
+    "run_sweep", "sample_instance", "select_uniform", "sim_baseline",
+    "similarity_noise_free", "skinny_svd", "spectral_cluster",
+]
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ sibling ``<name>.labels`` file with one integer per line.  All commands
 honor ``--seed`` and produce byte-identical outputs for identical
 invocations.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 algorithm failure.
+Exit codes: 0 success, 2 usage error (including flags a pipeline config
+rejects), 3 data error, 4 algorithm failure (including LinAlgError).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .cluster import (
     spectral_cluster,
 )
 from .cur import SelectionFailed
+from .linalg import as_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,7 +78,10 @@ def load_csv(path) -> DatasetFile:
                 )
     if not rows:
         raise DataError(f"{path}: empty file")
-    matrix = np.asarray(rows)
+    try:
+        matrix = as_matrix(rows)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     labels = None
     lpath = labels_path(path)
@@ -121,16 +126,12 @@ def _write_report(path, records) -> None:
             writer.writerow([rec.get(col, "") for col in REPORT_HEADER])
 
 
-def _proto_config_from_args(args) -> pipeline.ProtoConfig:
-    return pipeline.ProtoConfig(
-        m_subspaces=args.M,
-        target_rank=args.rank,
-        n_trials=args.k,
-        rows_per_trial=args.rows,
-        cols_per_trial="all" if args.cols is None else args.cols,
-        backend=args.backend,
-        seed=args.seed,
-    )
+def _config(parser, make, **fields):
+    """Build a pipeline config; flags it rejects are a usage error (exit 2)."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _require(parser, args, names) -> None:
@@ -148,7 +149,16 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
         return labels, None, f"dmax={args.dmax}"
     if args.algo == "proto":
         _require(parser, args, ["--M", "--rank"])
-        cfg = _proto_config_from_args(args)
+        cfg = _config(
+            parser, pipeline.ProtoConfig,
+            m_subspaces=args.M,
+            target_rank=args.rank,
+            n_trials=args.k,
+            rows_per_trial=args.rows,
+            cols_per_trial="all" if args.cols is None else args.cols,
+            backend=args.backend,
+            seed=args.seed,
+        )
         labels = pipeline.proto_cluster(w, cfg)
         params = (
             f"M={args.M};rank={args.rank};k={args.k};rows={cfg.rows()};"
@@ -157,7 +167,8 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
         return labels, None, params
     if args.algo == "rcur":
         _require(parser, args, ["--M", "--rmin", "--rmax", "--alpha"])
-        cfg = pipeline.RcurConfig(
+        cfg = _config(
+            parser, pipeline.RcurConfig,
             r_min=args.rmin,
             r_max=args.rmax,
             alpha=args.alpha,
@@ -178,7 +189,8 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
 def cmd_synth(parser, args) -> int:
     dims = synth.CASE_DIMS[args.case]
     if args.sweep:
-        proto = pipeline.ProtoConfig(
+        proto = _config(
+            parser, pipeline.ProtoConfig,
             m_subspaces=len(dims),
             target_rank=sum(dims),
             n_trials=args.k,
@@ -389,7 +401,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SelectionFailed as exc:
+    except (SelectionFailed, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGO
     except ValueError as exc:

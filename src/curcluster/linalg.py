@@ -1,11 +1,13 @@
 """Dense linear-algebra primitives shared by the rest of the package.
 
-All routines operate on real 2-d numpy arrays and validate their inputs
-(no NaN/Inf is ever admitted).  The numerical-rank convention used
-everywhere is a singular value cutoff of ``RANK_TOL * max(m, n)`` relative
-to the largest singular value; `cur` and `simgen` rely on this being a
-single shared constant.  The CUR sampler applies `_rank_cutoff` and
-`_pinv_from_svd` to the one SVD of U it takes per draw.
+`as_matrix`, the package's only input validator (no NaN/Inf is ever
+admitted), runs where data enters the package: the public routines here
+call it, the private helpers take trusted arrays.  The numerical-rank
+convention used everywhere is a singular value cutoff of
+``RANK_TOL * max(m, n)`` relative to the largest singular value; `cur`
+and `simgen` rely on this being a single shared constant.  The CUR
+sampler applies `_rank_cutoff` and `_pinv_from_svd` to the one SVD of U
+it takes per draw.
 """
 
 from __future__ import annotations

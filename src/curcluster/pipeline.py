@@ -108,11 +108,13 @@ def cluster_noise_free(w, d_max: int, kind: str = "absolute") -> LabelVector:
 
 
 def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, max_retries,
-                      transform, provenance) -> simgen.SimilarityMatrix:
+                      transform) -> simgen.SimilarityMatrix:
     """Entrywise median of transform(Y), one CUR trial per seed (simgen looked up per call)."""
     required = _required_rank(target_rank, rows, cols, rank_w)
-    sims = [transform(_sample(w, rows, cols, required, seed, max_retries)[1]) for seed in seeds]
-    return simgen.median_aggregate(sims, provenance=provenance)
+    stack = np.empty((len(seeds), w.shape[1], w.shape[1]))
+    for i, seed in enumerate(seeds):
+        stack[i] = transform(_sample(w, rows, cols, required, seed, max_retries)[1])
+    return simgen.median_aggregate(stack)
 
 
 def _unit_gram(y: np.ndarray) -> np.ndarray:
@@ -132,8 +134,7 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
 
     seeds = range(config.seed, config.seed + config.n_trials)
     return _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
-                             config.target_rank, seeds, config.max_retries, pinned_gram,
-                             f"proto(k={config.n_trials})")
+                             config.target_rank, seeds, config.max_retries, pinned_gram)
 
 
 def proto_cluster(w, config: ProtoConfig) -> LabelVector:
@@ -168,8 +169,7 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
         rank_seed = config.seed + 1000 * rank_index
         seeds = range(rank_seed, rank_seed + config.n_trials)
-        sim = _median_of_trials(w, rank_w, r, n, r, seeds, config.max_retries, _unit_gram,
-                                f"rcur(r={r})")
+        sim = _median_of_trials(w, rank_w, r, n, r, seeds, config.max_retries, _unit_gram)
         powered = simgen.elementwise_power(sim, config.alpha)
         labels = _cluster.spectral_cluster(powered, m_subspaces, rank_seed)
         ncut = _cluster.ncut_value(powered, labels)

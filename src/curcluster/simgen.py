@@ -9,7 +9,8 @@ random factorizations, and elementwise powers; those transforms all live
 here as well.
 
 Coefficient matrices are plain k x n numpy arrays; similarity matrices
-carry a `kind` tag and provenance string in `SimilarityMatrix`.
+carry a `kind` tag in `SimilarityMatrix`, which validates its entries.
+The per-trial kernels take trusted arrays that the library made.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ KINDS = ("binary", "absolute")
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric nonnegative n x n matrix with provenance metadata."""
+    """Symmetric nonnegative n x n matrix."""
 
     entries: np.ndarray
     kind: str
-    provenance: str = ""
 
     def __post_init__(self):
         entries = as_matrix(self.entries)
@@ -50,11 +50,8 @@ class SimilarityMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-
-def _entries(mat) -> np.ndarray:
-    if isinstance(mat, SimilarityMatrix):
-        return mat.entries
-    return as_matrix(mat)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def coefficient_matrix(factors: CurFactors) -> np.ndarray:
@@ -64,12 +61,12 @@ def coefficient_matrix(factors: CurFactors) -> np.ndarray:
 
 def binarize(q: np.ndarray) -> np.ndarray:
     """0/1 version of q, with entries below BINARIZE_TOL * max|q| taken as 0."""
-    q = np.abs(as_matrix(q))
+    q = np.abs(q)
     cutoff = BINARIZE_TOL * q.max() if q.size else 0.0
     return (q > cutoff).astype(float)
 
 
-def gram_similarity(y, kind: str, provenance: str = "gram") -> SimilarityMatrix:
+def gram_similarity(y, kind: str) -> SimilarityMatrix:
     """Binary or absolute-value version of the Gram matrix Y.T Y."""
     y = as_matrix(y)
     q = y.T @ y
@@ -80,7 +77,7 @@ def gram_similarity(y, kind: str, provenance: str = "gram") -> SimilarityMatrix:
         q = np.abs(q)
     else:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return SimilarityMatrix(entries=q, kind=kind, provenance=provenance)
+    return SimilarityMatrix(entries=q, kind=kind)
 
 
 def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
@@ -95,21 +92,16 @@ def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
     q = gram_similarity(y, kind)
     powered = matrix_power(q.entries, d_max)
     powered = 0.5 * (powered + powered.T)
-    return SimilarityMatrix(
-        entries=powered, kind=kind, provenance=f"noise_free(d_max={d_max})"
-    )
+    return SimilarityMatrix(entries=powered, kind=kind)
 
 
-def threshold_volumetric(y, m_subspaces: int) -> np.ndarray:
+def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     """Keep the ceil((1 - 1/M) * k * n) largest-magnitude entries, zero the rest.
 
     Ties at the cut are broken by earliest row-major position.  M = 1 is
     degenerate (the formula would keep nothing) and returns the input
     unchanged.
     """
-    y = as_matrix(y)
-    if m_subspaces < 1:
-        raise ValueError(f"m_subspaces must be >= 1, got {m_subspaces}")
     if m_subspaces == 1:
         return y.copy()
     total = y.size
@@ -124,40 +116,27 @@ def threshold_volumetric(y, m_subspaces: int) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def median_aggregate(sims, provenance: str = "median") -> SimilarityMatrix:
-    """Entrywise median of a list of square matrices, then absolute value.
+def median_aggregate(stack) -> SimilarityMatrix:
+    """Entrywise median over the first axis of a k x n x n stack, then absolute value.
 
-    Accepts plain arrays or SimilarityMatrix values; an even count takes
-    the mean of the two middle order statistics.
+    A list of n x n arrays or SimilarityMatrix values is stacked first (a
+    ragged list raises ValueError); an even count takes the mean of the
+    two middle order statistics.
     """
-    mats = [_entries(s) for s in sims]
-    if not mats:
-        raise ValueError("median_aggregate needs at least one matrix")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError(f"dimension mismatch: {m.shape} vs {shape}")
-    med = np.abs(np.median(np.stack(mats), axis=0))
+    med = np.abs(np.median(np.asarray(stack, dtype=float), axis=0))
     med = 0.5 * (med + med.T)
-    return SimilarityMatrix(entries=med, kind="absolute", provenance=provenance)
+    return SimilarityMatrix(entries=med, kind="absolute")
 
 
-def enforce_diagonal(mat):
-    """Set the diagonal to 1, leaving everything else unchanged.
-
-    Returns the same flavor it was given (array in, array out)."""
-    entries = _entries(mat).copy()
-    if entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got {entries.shape}")
+def enforce_diagonal(mat: np.ndarray) -> np.ndarray:
+    """Copy of a square array with its diagonal set to 1."""
+    entries = mat.copy()
     np.fill_diagonal(entries, 1.0)
-    if isinstance(mat, SimilarityMatrix):
-        return SimilarityMatrix(entries=entries, kind=mat.kind, provenance=mat.provenance)
     return entries
 
 
-def normalize_columns(y) -> np.ndarray:
+def normalize_columns(y: np.ndarray) -> np.ndarray:
     """Scale each column to unit Euclidean norm; zero columns stay zero."""
-    y = as_matrix(y)
     norms = np.linalg.norm(y, axis=0)
     safe = np.where(norms < 1e-14, 1.0, norms)
     return y / safe
@@ -167,21 +146,12 @@ def elementwise_power(sim: SimilarityMatrix, alpha: float) -> SimilarityMatrix:
     """Raise every entry of a nonnegative similarity matrix to `alpha` > 0."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return SimilarityMatrix(
-        entries=sim.entries**alpha,
-        kind=sim.kind,
-        provenance=f"{sim.provenance}^[{alpha}]",
-    )
+    return SimilarityMatrix(entries=sim.entries**alpha, kind=sim.kind)
 
 
 def sim_baseline(w, r: int) -> SimilarityMatrix:
     """Shape-interaction baseline |V_r V_r.T| from the skinny SVD of the data."""
-    w = as_matrix(w)
-    if not 1 <= r <= min(w.shape):
-        raise ValueError(f"r={r} out of range for shape {w.shape}")
     triple = skinny_svd(w, r)
     vvt = triple.right @ triple.right.T
     vvt = 0.5 * (vvt + vvt.T)
-    return SimilarityMatrix(
-        entries=np.abs(vvt), kind="absolute", provenance=f"sim_baseline(r={r})"
-    )
+    return SimilarityMatrix(entries=np.abs(vvt), kind="absolute")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curcluster import pipeline
 from curcluster.cli import (
     DataError,
     labels_path,
@@ -100,6 +101,12 @@ class TestSynthCommand:
             main([])
         assert exc.value.code == 2
 
+    def test_bad_sweep_config_exits_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--sweep", "--k", "0", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "n_trials must be >= 1" in capsys.readouterr().err
+
 
 class TestClusterCommand:
     @pytest.fixture
@@ -155,6 +162,37 @@ class TestClusterCommand:
         code = main(["cluster", str(dataset), "--algo", "proto", "--M", "2",
                      "--rank", "200", "--k", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--algo", "proto", "--M", "3", "--rank", "2"], "target_rank must be >= m_subspaces"),
+        (["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "3", "--alpha", "0"],
+         "alpha must be positive"),
+    ])
+    def test_config_error_is_usage_error(self, dataset, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(dataset)] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "exact", "--dmax", "1"],
+        ["--algo", "proto", "--M", "2", "--rank", "2"],
+        ["--algo", "rcur", "--M", "2", "--rmin", "1", "--rmax", "2", "--alpha", "2"],
+        ["--algo", "sim", "--M", "2", "--rank", "2"],
+    ])
+    def test_nan_cell_exits_three(self, tmp_path, capsys, flags):
+        data = write(tmp_path / "nan.csv", "1,0,0,2\n0,1,nan,0\n0,0,1,1\n")
+        assert main(["cluster", str(data)] + flags) == 3
+        assert "nan.csv: matrix contains NaN or Inf" in capsys.readouterr().err
+
+    def test_linalg_error_exits_four(self, dataset, monkeypatch, capsys):
+        def diverge(w, config):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(pipeline, "proto_cluster", diverge)
+        code = main(["cluster", str(dataset), "--algo", "proto", "--M", "2", "--rank", "8"])
+        assert code == 4
+        assert "SVD did not converge" in capsys.readouterr().err
 
     def test_selection_failure_exits_four(self, tmp_path):
         # rank hides in single entries; tiny retry budget cannot find them

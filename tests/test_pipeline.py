@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import union_instance
-from curcluster import cur
+from curcluster import cli, cluster, cur, linalg, pipeline, simgen, synth
 from curcluster.cluster import LabelVector, clustering_error, ncut_value
 from curcluster.cur import SelectionFailed
 from curcluster.pipeline import (
@@ -243,6 +243,40 @@ class TestOneSvdPerTrial:
         assert counted["select"] == 4 * 5
         # eigh, not svd, embeds the spectral step
         assert counted["svd"] == 1 + 4 * 5
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count as_matrix calls through every module binding of it."""
+    calls = []
+    as_matrix = linalg.as_matrix
+
+    def counting(a):
+        calls.append(1)
+        return as_matrix(a)
+
+    for module in (linalg, cur, simgen, cluster, pipeline, synth, cli):
+        for name, value in list(vars(module).items()):
+            if value is as_matrix:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestValidateOnce:
+    """Inputs are validated at the entry point, never once per CUR trial."""
+
+    @pytest.mark.parametrize("run", [
+        lambda w, k: proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=k)),
+        lambda w, k: rcur_cluster(w, 2, RcurConfig(r_min=3, r_max=6, alpha=2.0, n_trials=k)),
+    ], ids=["proto", "rcur"])
+    def test_calls_independent_of_trial_count(self, validations, run):
+        w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
+        counts = []
+        for n_trials in (3, 9):
+            del validations[:]
+            run(w, n_trials)
+            counts.append(len(validations))
+        assert counts[0] == counts[1] > 0
 
 
 class TestDegenerateInput:
