@@ -34,9 +34,6 @@ from curcluster.synth import CASE_DIMS, run_sweep
 BANDS = {1: 12.0, 2: 40.0}
 HALF_WIDTH = 10.0
 
-ORIGINAL_ENFORCE_DIAGONAL = simgen.enforce_diagonal
-ORIGINAL_MEDIAN = simgen.median_aggregate
-
 
 def sweep_mean(case: int, sigma: float = 0.1, rows_per_trial=None, seed: int = 0) -> float:
     """Mean error of the acceptance-suite sweep (tests/test_acceptance.py::_sweep)."""
@@ -132,12 +129,6 @@ def spectral(self_loops=False, normalized=True, unit_rows=True, power=1.0):
     return apply
 
 
-def pin_after_median(stack):
-    """Median of unpinned trial Gram matrices, diagonal pinned afterwards."""
-    med = ORIGINAL_MEDIAN(stack)
-    return simgen.SimilarityMatrix(ORIGINAL_ENFORCE_DIAGONAL(med.entries), med.kind)
-
-
 def random_labels(w, config):
     """Uniformly random labels: the chance level of the error metric."""
     rng = np.random.default_rng(config.seed)
@@ -153,9 +144,6 @@ VARIANTS = [
     ("sweep seed 3", {"seed": 3}, []),
     ("columns shuffled (`sample_instance(shuffle=True)`)", {},
      [(synth, "sample_instance", functools.partial(synth.sample_instance, shuffle=True))]),
-    ("diagonal pinned after the median, not per trial", {},
-     [(simgen, "enforce_diagonal", lambda mat: mat),
-      (simgen, "median_aggregate", pin_after_median)]),
     ("threshold ties broken by latest position", {},
      [(simgen, "threshold_volumetric", threshold(shipped_keep, latest_first=True))]),
     ("threshold keeps ⌈kn/M⌉ instead of ⌈(1−1/M)kn⌉", {},

@@ -6,8 +6,8 @@ sibling ``<name>.labels`` file with one integer per line.  All commands
 honor ``--seed`` and produce byte-identical outputs for identical
 invocations.
 
-Exit codes: 0 success, 2 usage error (including flags a pipeline config
-rejects), 3 data error, 4 algorithm failure (including LinAlgError).
+Exit codes: 0 success, 2 usage error (also a count flag below 1 or a flag a
+pipeline config rejects), 3 data error, 4 algorithm failure (also LinAlgError).
 """
 
 from __future__ import annotations
@@ -132,6 +132,13 @@ def _config(parser, make, **fields):
         return make(**fields)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def count(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _require(parser, args, names) -> None:
@@ -344,15 +351,15 @@ def cmd_bench(parser, args) -> int:
 
 def _add_cluster_flags(sub) -> None:
     sub.add_argument("--algo", required=True, choices=["proto", "rcur", "sim", "exact"])
-    sub.add_argument("--M", type=int, help="number of subspaces")
-    sub.add_argument("--rank", type=int, help="clean-data rank (proto/sim)")
-    sub.add_argument("--dmax", type=int, help="largest subspace dimension (exact)")
+    sub.add_argument("--M", type=count, help="number of subspaces")
+    sub.add_argument("--rank", type=count, help="clean-data rank (proto/sim)")
+    sub.add_argument("--dmax", type=count, help="largest subspace dimension (exact)")
     sub.add_argument("--k", type=int, default=25, help="number of CUR trials")
-    sub.add_argument("--rows", type=int, help="rows per trial (default: rank)")
-    sub.add_argument("--cols", type=int, help="columns per trial (default: all)")
+    sub.add_argument("--rows", type=count, help="rows per trial (default: rank)")
+    sub.add_argument("--cols", type=count, help="columns per trial (default: all)")
     sub.add_argument("--alpha", type=float, help="elementwise power (rcur)")
-    sub.add_argument("--rmin", type=int, help="minimum sweep rank (rcur)")
-    sub.add_argument("--rmax", type=int, help="maximum sweep rank (rcur)")
+    sub.add_argument("--rmin", type=count, help="minimum sweep rank (rcur)")
+    sub.add_argument("--rmax", type=count, help="maximum sweep rank (rcur)")
     sub.add_argument("--backend", default="pcc", choices=list(pipeline.BACKENDS))
     sub.add_argument("--seed", type=int, default=0)
 
@@ -369,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sigma", dest="sigmas", type=float, action="append",
                          help="noise level; repeatable (sweep default: the 7-level ladder)")
     p_synth.add_argument("--sweep", action="store_true", help="run the error sweep")
-    p_synth.add_argument("--trials", type=int, default=20, help="instances per noise level")
+    p_synth.add_argument("--trials", type=count, default=20, help="instances per noise level")
     p_synth.add_argument("--k", type=int, default=25, help="CUR trials per instance (sweep)")
     p_synth.add_argument("--backend", default="pcc", choices=list(pipeline.BACKENDS))
-    p_synth.add_argument("--points", type=int, default=50, help="points per subspace")
-    p_synth.add_argument("--ambient", type=int, default=300)
+    p_synth.add_argument("--points", type=count, default=50, help="points per subspace")
+    p_synth.add_argument("--ambient", type=count, default=300)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--seed", type=int, default=0)
 
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--manifest", help="per-line `filename,category,M` file")
     p_bench.add_argument("--out", required=True, help="report CSV path")
-    p_bench.add_argument("--repeats", type=int, default=1)
+    p_bench.add_argument("--repeats", type=count, default=1)
     _add_cluster_flags(p_bench)
 
     return parser

@@ -16,6 +16,8 @@ import numpy as np
 
 from .linalg import _pinv_from_svd, _rank_cutoff, as_matrix, numerical_rank, pinv
 
+MAX_RETRIES = 100  # random selections drawn before a sampler gives up
+
 
 class RankDeficientSelection(ValueError):
     """The intersection submatrix U does not carry the required rank."""
@@ -114,7 +116,7 @@ def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
     return required
 
 
-def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries: int):
+def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries=MAX_RETRIES):
     """First selection of validated `a` with rank(U) >= `required`, and its Y."""
     m, n = a.shape
     for attempt in range(max_retries):
@@ -131,7 +133,7 @@ def cur_sample(
     s: int,
     k: int,
     seed: int,
-    max_retries: int = 100,
+    max_retries: int = MAX_RETRIES,
     target_rank: int | None = None,
 ) -> CurFactors:
     """Randomly sample a CUR factorization, retrying on rank deficiency.

@@ -33,7 +33,6 @@ class ProtoConfig:
     cols_per_trial: int | str = "all"
     backend: str = "pcc"
     seed: int = 0
-    max_retries: int = 100
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -66,7 +65,6 @@ class RcurConfig:
     alpha: float
     n_trials: int = 50
     seed: int = 0
-    max_retries: int = 100
 
     def __post_init__(self):
         if not 1 <= self.r_min <= self.r_max:
@@ -107,43 +105,35 @@ def cluster_noise_free(w, d_max: int, kind: str = "absolute") -> LabelVector:
     return _cluster.connected_components(sim)
 
 
-def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, max_retries,
-                      transform) -> simgen.SimilarityMatrix:
-    """Entrywise median of transform(Y), one CUR trial per seed (simgen looked up per call)."""
+def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, transform):
+    """Median of transform(Y)'s Gram matrices, written into and partitioned in one stack."""
     required = _required_rank(target_rank, rows, cols, rank_w)
     stack = np.empty((len(seeds), w.shape[1], w.shape[1]))
     for i, seed in enumerate(seeds):
-        stack[i] = transform(_sample(w, rows, cols, required, seed, max_retries)[1])
+        y = transform(_sample(w, rows, cols, required, seed)[1])
+        np.matmul(y.T, y, out=stack[i])
     return simgen.median_aggregate(stack)
 
 
-def _unit_gram(y: np.ndarray) -> np.ndarray:
-    y = simgen.normalize_columns(y)
-    return y.T @ y
-
-
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
-    """Median of n_trials thresholded CUR similarity matrices of `w`."""
+    """Median of n_trials thresholded CUR similarity matrices of `w`, its diagonal pinned to 1."""
     w = as_matrix(w)
     if config.target_rank > min(w.shape):
         raise ValueError("target_rank exceeds min(m, n)")
-
-    def pinned_gram(y):
-        y = simgen.threshold_volumetric(y, config.m_subspaces)
-        return simgen.enforce_diagonal(y.T @ y)
-
     seeds = range(config.seed, config.seed + config.n_trials)
-    return _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
-                             config.target_rank, seeds, config.max_retries, pinned_gram)
+    sim = _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
+                            config.target_rank, seeds,
+                            lambda y: simgen.threshold_volumetric(y, config.m_subspaces))
+    return simgen.SimilarityMatrix(simgen.enforce_diagonal(sim.entries), sim.kind)
 
 
 def proto_cluster(w, config: ProtoConfig) -> LabelVector:
     """Noisy-path clustering: median similarity over random CUR trials.
 
     Each trial draws a random rank-sufficient selection, thresholds the
-    coefficient matrix volumetrically, forms Y.T Y and pins its diagonal
-    to 1; trials are aggregated by entrywise median and handed to the
-    configured clustering back-end.  Deterministic given config.seed.
+    coefficient matrix Y volumetrically and forms Y.T Y; the entrywise median
+    of the trials, its diagonal pinned to 1, goes to the configured clustering
+    back-end.  Deterministic given config.seed.
     """
     sim = proto_similarity(w, config)
     return _run_backend(config.backend, sim, config.m_subspaces, config.seed)
@@ -169,7 +159,7 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
         rank_seed = config.seed + 1000 * rank_index
         seeds = range(rank_seed, rank_seed + config.n_trials)
-        sim = _median_of_trials(w, rank_w, r, n, r, seeds, config.max_retries, _unit_gram)
+        sim = _median_of_trials(w, rank_w, r, n, r, seeds, simgen.normalize_columns)
         powered = simgen.elementwise_power(sim, config.alpha)
         labels = _cluster.spectral_cluster(powered, m_subspaces, rank_seed)
         ncut = _cluster.ncut_value(powered, labels)

@@ -119,11 +119,11 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
 def median_aggregate(stack) -> SimilarityMatrix:
     """Entrywise median over the first axis of a k x n x n stack, then absolute value.
 
-    A list of n x n arrays or SimilarityMatrix values is stacked first (a
-    ragged list raises ValueError); an even count takes the mean of the
-    two middle order statistics.
+    A float ndarray argument is partitioned in place, scrambling it; a list of
+    n x n arrays or SimilarityMatrix values is stacked into a new array first
+    (a ragged list raises ValueError).  An even count averages the middle two.
     """
-    med = np.abs(np.median(np.asarray(stack, dtype=float), axis=0))
+    med = np.abs(np.median(np.asarray(stack, dtype=float), axis=0, overwrite_input=True))
     med = 0.5 * (med + med.T)
     return SimilarityMatrix(entries=med, kind="absolute")
 

@@ -246,3 +246,33 @@ class TestBenchCommand:
                      "--out", str(tmp_path / "r.csv"), "--algo", "exact",
                      "--dmax", "1"])
         assert code == 3
+
+
+class TestCountFlags:
+    """Integer count flags below 1 are usage errors, rejected before any work."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        data = tmp_path / "d.csv"
+        main(["synth", "--case", "1", "--sigma", "0", "--out", str(data),
+              "--points", "8", "--ambient", "40"])
+        return {"data": str(data), "dir": str(tmp_path), "out": str(tmp_path / "o.csv")}
+
+    @pytest.mark.parametrize("argv", [
+        "bench --dir {dir} --out {out} --algo exact --dmax 1 --repeats 0",
+        "cluster {data} --algo proto --M 2 --rank 8 --cols 0",
+        "cluster {data} --algo exact --dmax 0",
+        "synth --sweep --trials 0 --out {out}",
+        "cluster {data} --algo proto --M 0 --rank 8",
+        "cluster {data} --algo sim --M 2 --rank 0",
+        "cluster {data} --algo proto --M 2 --rank 8 --rows -1",
+        "cluster {data} --algo rcur --M 2 --rmin 0 --rmax 3 --alpha 2",
+        "cluster {data} --algo rcur --M 2 --rmin 1 --rmax 0 --alpha 2",
+        "synth --points 0 --out {out}",
+        "synth --ambient 0 --out {out}",
+    ])
+    def test_below_one_exits_usage(self, paths, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([part.format(**paths) for part in argv.split()])
+        assert exc.value.code == 2
+        assert "must be >= 1, got" in capsys.readouterr().err

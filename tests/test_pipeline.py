@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from curcluster.pipeline import (
     rcur_cluster,
 )
 from curcluster.simgen import elementwise_power, median_aggregate, normalize_columns
-from curcluster.linalg import pinv
+from curcluster.linalg import numerical_rank, pinv
 from curcluster.synth import random_union_model, sample_instance
 
 
@@ -306,3 +308,47 @@ class TestDegenerateInput:
         result = rcur_cluster(inst.data, 2, cfg)
         assert [r for r, _ in result.ncut_per_rank] == [3, 4, 5, 6, 7]
         assert clustering_error(result.labels, inst.truth) == 0.0
+
+
+class TestTrialLoopOwnsStack:
+    """Each Gram product goes straight into the stack, which the median partitions in place."""
+
+    @pytest.mark.parametrize("run", [
+        lambda w: proto_similarity(w, ProtoConfig(3, 12, n_trials=25)),
+        lambda w: rcur_cluster(w, 3, RcurConfig(2, 4, 2.0, n_trials=25)),
+    ], ids=["proto", "rcur"])
+    def test_peak_below_one_and_a_half_stacks(self, run):
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
+        stack_bytes = 25 * 300 * 300 * 8
+        tracemalloc.start()
+        try:
+            run(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stacks"
+
+
+class TestPinOnce:
+    """Pinning the median's diagonal gives what pinning every trial's diagonal gave."""
+
+    @pytest.mark.parametrize("n_trials", [7, 8])
+    def test_matches_per_trial_pinning(self, monkeypatch, n_trials):
+        model = random_union_model(40, [3, 3, 3], seed=70)
+        w = sample_instance(model, [12, 12, 12], 0.05, seed=71).data
+        cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=n_trials, seed=5)
+        n = w.shape[1]
+        required = cur._required_rank(cfg.target_rank, cfg.rows(), n, numerical_rank(w))
+        trials = []
+        for seed in range(cfg.seed, cfg.seed + n_trials):
+            y = simgen.threshold_volumetric(cur._sample(w, cfg.rows(), n, required, seed)[1], 3)
+            trials.append(simgen.enforce_diagonal(y.T @ y))
+        med = np.abs(np.median(np.array(trials), axis=0))
+
+        pins = []
+        enforce_diagonal = simgen.enforce_diagonal
+        monkeypatch.setattr(simgen, "enforce_diagonal",
+                            lambda mat: pins.append(1) or enforce_diagonal(mat))
+        np.testing.assert_array_equal(proto_similarity(w, cfg).entries, 0.5 * (med + med.T))
+        assert len(pins) == 1
