@@ -210,6 +210,7 @@ def cmd_synth(parser, args) -> int:
             args.trials,
             proto,
             seed=args.seed,
+            ambient_dim=args.ambient,
             points_per_subspace=args.points,
         )
         with open(args.out, "w", newline="") as fh:

@@ -106,12 +106,21 @@ def cluster_noise_free(w, d_max: int, kind: str = "absolute") -> LabelVector:
 
 
 def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, transform):
-    """Median of transform(Y)'s Gram matrices, written into and partitioned in one stack."""
+    """Median of transform(Y)'s Gram matrices, their upper triangles packed in one stack.
+
+    Each Gram product goes into one n x n scratch matrix (Y.T Y written
+    with `out=` is exactly symmetric), and its upper triangle into the
+    trial's row of the stack, which the median partitions in place.
+    """
     required = _required_rank(target_rank, rows, cols, rank_w)
-    stack = np.empty((len(seeds), w.shape[1], w.shape[1]))
+    n = w.shape[1]
+    upper = simgen.upper_triangle(n)
+    gram = np.empty((n, n))
+    stack = np.empty((len(seeds), upper.size))
     for i, seed in enumerate(seeds):
         y = transform(_sample(w, rows, cols, required, seed)[1])
-        np.matmul(y.T, y, out=stack[i])
+        np.matmul(y.T, y, out=gram)
+        np.take(gram, upper, out=stack[i])
     return simgen.median_aggregate(stack)
 
 

@@ -85,46 +85,73 @@ def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
 
     Powering reconnects clusters whose graph has diameter up to d_max; for
     conforming data the zero/nonzero pattern is exactly the co-subspace
-    relation.
+    relation.  The binary kind keeps only that pattern: its 0/1 matrix is
+    raised by repeated squaring with each product binarized, which takes
+    O(log d_max) products and cannot overflow.
     """
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    q = gram_similarity(y, kind)
-    powered = matrix_power(q.entries, d_max)
+    q = gram_similarity(y, kind).entries
+    powered = matrix_power(q, d_max) if kind == "absolute" else _pattern_power(q, d_max)
     powered = 0.5 * (powered + powered.T)
     return SimilarityMatrix(entries=powered, kind=kind)
+
+
+def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
+    """0/1 pattern of q^p for a 0/1 matrix q, by repeated squaring."""
+    if p == 1:
+        return q
+    half = _pattern_power(q, p // 2)
+    square = binarize(half @ half)
+    return binarize(square @ q) if p % 2 else square
 
 
 def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     """Keep the ceil((1 - 1/M) * k * n) largest-magnitude entries, zero the rest.
 
-    Ties at the cut are broken by earliest row-major position.  M = 1 is
+    One partition finds the cut value; every entry above it is kept, then
+    the entries equal to it in row-major order until the count is reached,
+    so ties at the cut are broken by earliest row-major position.  M = 1 is
     degenerate (the formula would keep nothing) and returns the input
     unchanged.
     """
     if m_subspaces == 1:
         return y.copy()
-    total = y.size
-    keep = math.ceil((1.0 - 1.0 / m_subspaces) * total)
-    flat = np.abs(y).ravel()
-    # stable sort on -|y| ranks descending with earliest-position tie break
-    order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(total, dtype=bool)
-    mask[order[:keep]] = True
-    out = y.copy().ravel()
-    out[~mask] = 0.0
-    return out.reshape(y.shape)
+    keep = math.ceil((1.0 - 1.0 / m_subspaces) * y.size)
+    mag = np.abs(y)
+    cut = np.partition(mag, y.size - keep, axis=None)[y.size - keep]
+    mask = mag > cut
+    ties = np.flatnonzero(mag == cut)
+    mask.flat[ties[: keep - np.count_nonzero(mask)]] = True
+    return np.where(mask, y, 0.0)
+
+
+def upper_triangle(n: int) -> np.ndarray:
+    """Row-major flat indices of an n x n matrix's upper triangle: the packed stack's columns."""
+    return np.ravel_multi_index(np.triu_indices(n), (n, n))
 
 
 def median_aggregate(stack) -> SimilarityMatrix:
-    """Entrywise median over the first axis of a k x n x n stack, then absolute value.
+    """Entrywise median of k symmetric n x n matrices, then absolute value.
 
-    A float ndarray argument is partitioned in place, scrambling it; a list of
-    n x n arrays or SimilarityMatrix values is stacked into a new array first
-    (a ragged list raises ValueError).  An even count averages the middle two.
+    The packed form is a k x n(n+1)/2 float array whose row i holds trial
+    i's upper triangle, in `upper_triangle(n)` order; it is partitioned in
+    place, scrambling it.  A list of n x n arrays or SimilarityMatrix values,
+    or a k x n x n array, is first reduced to a new packed array of its upper
+    triangles, so a non-symmetric input is read from its upper triangle
+    alone (a ragged list raises ValueError).  The median, taken once per
+    upper-triangle entry, is mirrored into a symmetric matrix.  An even
+    count averages the middle two.
     """
-    med = np.abs(np.median(np.asarray(stack, dtype=float), axis=0, overwrite_input=True))
-    med = 0.5 * (med + med.T)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+        stack = stack.reshape(len(stack), -1)[:, upper_triangle(stack.shape[1])]
+    n = (math.isqrt(8 * stack.shape[-1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
+    if stack.ndim != 2 or n * (n + 1) // 2 != stack.shape[1]:
+        raise ValueError(f"need k square matrices or k packed upper triangles, got {stack.shape}")
+    upper = upper_triangle(n)
+    med = np.empty((n, n))
+    med.flat[upper] = med.T.flat[upper] = np.abs(np.median(stack, axis=0, overwrite_input=True))
     return SimilarityMatrix(entries=med, kind="absolute")
 
 

@@ -96,6 +96,14 @@ class TestSynthCommand:
         assert lines[0] == "sigma,mean_err,median_err,min_err,max_err,n_instances"
         assert len(lines) == 3  # header + the two requested noise levels
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "--trials", "1", "--k", "1"]],
+                             ids=["instance", "sweep"])
+    def test_ambient_too_small_exits_data(self, tmp_path, capsys, sweep):
+        code = main(["synth", *sweep, "--case", "1", "--ambient", "5", "--sigma", "0",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert "exceeds ambient dimension" in capsys.readouterr().err
+
     def test_no_args_exits_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -56,6 +56,16 @@ class TestClusterNoiseFree:
         b = cluster_noise_free(inst.data, d_max, "binary")
         assert clustering_error(a, b) == 0.0
 
+    def test_binary_large_d_max_does_not_overflow(self):
+        # a float power of the 0/1 Gram matrix overflows here (300^199)
+        model = random_union_model(300, [4, 4, 4], seed=0)
+        inst = sample_instance(model, [100, 100, 100], 0.0, seed=1)
+        labels = cluster_noise_free(inst.data, 200, "binary")
+        assert labels.m_clusters == 3
+        assert clustering_error(labels, inst.truth) == 0.0
+        np.testing.assert_array_equal(labels.labels,
+                                      cluster_noise_free(inst.data, 4, "absolute").labels)
+
 
 class TestProtoConfig:
     def test_defaults(self):
@@ -330,6 +340,25 @@ class TestTrialLoopOwnsStack:
         assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stacks"
 
 
+class TestPackedStack:
+    """The trial loop keeps only upper triangles, so one call peaks below one full stack."""
+
+    def test_one_proto_and_one_rcur_call_below_one_stack(self):
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
+        stack_bytes = 25 * 300 * 300 * 8
+        peaks = []
+        for run in (lambda: proto_similarity(w, ProtoConfig(3, 12, n_trials=25)),
+                    lambda: rcur_cluster(w, 3, RcurConfig(2, 4, 2.0, n_trials=25))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / stack_bytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.0, f"peaks {peaks[0]:.2f} and {peaks[1]:.2f} stacks"
+
+
 class TestPinOnce:
     """Pinning the median's diagonal gives what pinning every trial's diagonal gave."""
 
@@ -352,3 +381,63 @@ class TestPinOnce:
                             lambda mat: pins.append(1) or enforce_diagonal(mat))
         np.testing.assert_array_equal(proto_similarity(w, cfg).entries, 0.5 * (med + med.T))
         assert len(pins) == 1
+
+
+def full_stack_median(w, rows, target_rank, seeds, transform):
+    """The protocol before packing: a full k x n x n stack, its median, then 0.5 (med + med.T)."""
+    n = w.shape[1]
+    required = cur._required_rank(target_rank, rows, n, numerical_rank(w))
+    stack = np.empty((len(seeds), n, n))
+    for i, seed in enumerate(seeds):
+        y = transform(cur._sample(w, rows, n, required, seed)[1])
+        np.matmul(y.T, y, out=stack[i])
+    med = np.abs(np.median(stack, axis=0))
+    return 0.5 * (med + med.T)
+
+
+class TestGramExactlySymmetric:
+    """The packed median rests on Y.T Y, written with out=, being symmetric bit for bit."""
+
+    @pytest.mark.parametrize("k, n", [(k, n) for k in (2, 12, 14) for n in (150, 300)]
+                             + [(150, 150)])
+    @pytest.mark.parametrize("transform", [
+        normalize_columns,
+        lambda y: simgen.threshold_volumetric(y, 3),
+    ], ids=["normalize", "threshold"])
+    def test_matmul_out_is_symmetric(self, k, n, transform):
+        y = transform(np.random.default_rng(k * n).standard_normal((k, n)))
+        g = np.empty((n, n))
+        np.matmul(y.T, y, out=g)
+        assert np.array_equal(g, g.T)
+
+
+class TestPackedMatchesFullStack:
+    """Medianing the upper triangles gives what the full stack and its symmetrization gave."""
+
+    @pytest.mark.parametrize("n_trials", [7, 8])
+    def test_proto(self, n_trials):
+        model = random_union_model(40, [3, 3, 3], seed=70)
+        w = sample_instance(model, [12, 12, 12], 0.05, seed=71).data
+        cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=n_trials, seed=5)
+        old = full_stack_median(w, cfg.rows(), cfg.target_rank,
+                                range(cfg.seed, cfg.seed + n_trials),
+                                lambda y: simgen.threshold_volumetric(y, 3))
+        np.testing.assert_array_equal(proto_similarity(w, cfg).entries,
+                                      simgen.enforce_diagonal(old))
+
+    @pytest.mark.parametrize("n_trials", [7, 8])
+    def test_rcur(self, monkeypatch, n_trials):
+        model = random_union_model(40, [3, 3, 3], seed=72)
+        w = sample_instance(model, [12, 12, 12], 0.05, seed=73).data
+        cfg = RcurConfig(r_min=8, r_max=10, alpha=2.0, n_trials=n_trials, seed=3)
+        medians = []
+        median_aggregate = simgen.median_aggregate
+        monkeypatch.setattr(simgen, "median_aggregate",
+                            lambda stack: medians.append(median_aggregate(stack)) or medians[-1])
+        rcur_cluster(w, 3, cfg)
+        assert len(medians) == 3
+        for rank_index, (r, sim) in enumerate(zip(range(8, 11), medians)):
+            rank_seed = cfg.seed + 1000 * rank_index
+            old = full_stack_median(w, r, r, range(rank_seed, rank_seed + n_trials),
+                                    normalize_columns)
+            np.testing.assert_array_equal(sim.entries, old)

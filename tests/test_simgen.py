@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ class TestSimilarityNoiseFree:
         sim = similarity_noise_free(np.array([[2.0]]), 1, "absolute")
         assert sim.entries[0, 0] > 0
 
+    @pytest.mark.parametrize("d_max", [1, 2, 3, 4, 5, 7, 8, 12])
+    def test_binary_power_is_exactly_d_max(self, d_max):
+        # an upper bidiagonal Y has a tridiagonal Gram pattern, a path graph
+        # with self-loops, whose d-th power reaches exactly |i - j| <= d
+        n = 16
+        y = np.eye(n) + np.eye(n, k=1)
+        sim = similarity_noise_free(y, d_max, "binary")
+        i, j = np.indices((n, n))
+        np.testing.assert_array_equal(sim.entries, (abs(i - j) <= d_max).astype(float))
+
+    def test_binary_pattern_matches_float_power(self, rng):
+        y = rng.standard_normal((6, 20)) * (rng.random((6, 20)) < 0.2)
+        for d_max in (1, 2, 3, 6):
+            q = gram_similarity(y, "binary").entries
+            expected = np.linalg.matrix_power(q, d_max) > 0
+            sim = similarity_noise_free(y, d_max, "binary")
+            np.testing.assert_array_equal(sim.entries, expected.astype(float))
+
 
 class TestThresholdVolumetric:
     def test_single_subspace_unchanged(self, rng):
@@ -123,6 +143,50 @@ class TestThresholdVolumetric:
         y = np.array([[1.0, 1.0], [1.0, 1.0]])
         out = threshold_volumetric(y, 2)
         np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def stable_sort_threshold(y, m_subspaces):
+    """Reference volumetric threshold: a full stable argsort of -|y|."""
+    if m_subspaces == 1:
+        return y.copy()
+    total = y.size
+    keep = math.ceil((1.0 - 1.0 / m_subspaces) * total)
+    order = np.argsort(-np.abs(y).ravel(), kind="stable")
+    mask = np.zeros(total, dtype=bool)
+    mask[order[:keep]] = True
+    out = y.copy().ravel()
+    out[~mask] = 0.0
+    return out.reshape(y.shape)
+
+
+class TestThresholdMatchesStableSort:
+    """The partition threshold gives the stable-argsort result, sign bits included."""
+
+    @staticmethod
+    def check(y, m):
+        out, ref = threshold_volumetric(y, m), stable_sort_threshold(y, m)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random(self, seed, m):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 80))))
+        self.check(y, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy(self, seed, m):
+        rng = np.random.default_rng(100 + seed)
+        y = np.round(rng.standard_normal((12, 50)), 1)  # also -0.0 and +/- pairs
+        self.check(y, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("y", [np.full((4, 7), -0.3), np.zeros((5, 5)), np.array([[2.5]])],
+                             ids=["all-equal", "all-zero", "one-by-one"])
+    def test_degenerate(self, y, m):
+        self.check(y, m)
 
 
 class TestMedianAggregate:
@@ -149,6 +213,21 @@ class TestMedianAggregate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             median_aggregate([np.eye(2), np.eye(3)])
+
+    def test_packed_matches_full(self, rng):
+        mats = np.array([a + a.T for a in rng.standard_normal((8, 5, 5))])
+        packed = mats[(slice(None), *np.triu_indices(5))]
+        np.testing.assert_array_equal(median_aggregate(packed).entries,
+                                      median_aggregate(mats).entries)
+
+    def test_reads_upper_triangle(self):
+        sim = median_aggregate([np.array([[1.0, -2.0], [7.0, 3.0]])])
+        np.testing.assert_array_equal(sim.entries, [[1.0, 2.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 2, 4), (3,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="square matrices or k packed"):
+            median_aggregate(np.ones(shape))
 
 
 class TestEnforceDiagonal:
