@@ -284,9 +284,10 @@ def _load_manifest(path) -> dict:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected `filename,category,M`")
             try:
-                entries[parts[0]] = {"category": parts[1], "M": int(parts[2])}
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer cluster count") from None
+                entries[parts[0]] = {"category": parts[1], "M": count(parts[2])}
+            except (ValueError, argparse.ArgumentTypeError):
+                raise DataError(f"{path}:{lineno}: cluster count {parts[2]!r} is not an "
+                                "integer >= 1") from None
     return entries
 
 

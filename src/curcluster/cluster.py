@@ -14,8 +14,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .linalg import BINARIZE_TOL, as_matrix, skinny_svd
-from .simgen import SimilarityMatrix
+from .linalg import as_matrix, skinny_svd
+from .simgen import SimilarityMatrix, binarize
 
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-8
@@ -149,26 +149,22 @@ def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVecto
 def connected_components(sim: SimilarityMatrix) -> LabelVector:
     """Components of the graph with an edge wherever the entry is nonzero.
 
-    Entries below BINARIZE_TOL * max|entry| count as zero; component ids
-    are assigned in first-seen column order.
+    Only the zero pattern is read: an edge is a nonzero entry of
+    `simgen.binarize(sim.entries)`.  Component ids are assigned in
+    first-seen column order.
     """
-    s = sim.entries
-    n = s.shape[0]
-    cutoff = BINARIZE_TOL * s.max() if s.size else 0.0
-    adjacency = s > cutoff
-    labels = np.full(n, -1, dtype=int)
+    adjacency = binarize(sim.entries) > 0
+    labels = np.full(len(adjacency), -1, dtype=int)
     current = 0
-    for start in range(n):
+    for start in range(labels.size):
         if labels[start] != -1:
             continue
-        stack = [start]
         labels[start] = current
+        stack = [start]
         while stack:
-            i = stack.pop()
-            for j in np.nonzero(adjacency[i])[0]:
-                if labels[j] == -1:
-                    labels[j] = current
-                    stack.append(j)
+            reached = np.flatnonzero(adjacency[stack.pop()] & (labels == -1))
+            labels[reached] = current
+            stack.extend(reached)
         current += 1
     return LabelVector(labels=labels, m_clusters=current)
 

@@ -1,7 +1,7 @@
 """End-to-end subspace clustering pipelines.
 
 Three paths are provided: the exact noise-free construction (full
-selection, matrix power, connected components), the noisy multi-trial
+selection, 0/1 pattern power, connected components), the noisy multi-trial
 median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
 spectral partition.
@@ -69,8 +69,8 @@ class RcurConfig:
     def __post_init__(self):
         if not 1 <= self.r_min <= self.r_max:
             raise ValueError(f"need 1 <= r_min <= r_max, got [{self.r_min}, {self.r_max}]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
 
@@ -92,16 +92,15 @@ def _run_backend(backend: str, sim: simgen.SimilarityMatrix, m: int, seed: int) 
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def cluster_noise_free(w, d_max: int, kind: str = "absolute") -> LabelVector:
+def cluster_noise_free(w, d_max: int) -> LabelVector:
     """Exact clustering of noise-free union data.
 
-    Uses the full selection (C = R = U = W), so Y = pinv(W) W; the
-    similarity matrix is the d_max matrix power of its Gram matrix and
-    the labels are its connected components.
+    Uses the full selection (C = R = U = W), so Y = pinv(W) W; the labels
+    are the connected components of the 0/1 pattern of (Y.T Y)^d_max, the
+    binary `similarity_noise_free`, whose integer arithmetic no d_max overflows.
     """
     w = as_matrix(w)
-    y = pinv(w) @ w
-    sim = simgen.similarity_noise_free(y, d_max, kind)
+    sim = simgen.similarity_noise_free(pinv(w) @ w, d_max, "binary")
     return _cluster.connected_components(sim)
 
 
@@ -133,7 +132,8 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     sim = _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
                             config.target_rank, seeds,
                             lambda y: simgen.threshold_volumetric(y, config.m_subspaces))
-    return simgen.SimilarityMatrix(simgen.enforce_diagonal(sim.entries), sim.kind)
+    simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
+    return sim
 
 
 def proto_cluster(w, config: ProtoConfig) -> LabelVector:

@@ -66,39 +66,42 @@ def binarize(q: np.ndarray) -> np.ndarray:
     return (q > cutoff).astype(float)
 
 
+def _gram(y: np.ndarray, kind: str) -> np.ndarray:
+    """Binary or absolute-value Y.T Y, exactly symmetric (a product with its own transpose)."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    y = np.ascontiguousarray(y)  # a strided y can miss numpy's symmetric A.T @ A product
+    q = y.T @ y
+    return binarize(q) if kind == "binary" else np.abs(q)
+
+
 def gram_similarity(y, kind: str) -> SimilarityMatrix:
     """Binary or absolute-value version of the Gram matrix Y.T Y."""
-    y = as_matrix(y)
-    q = y.T @ y
-    q = 0.5 * (q + q.T)  # re-symmetrize round-off
-    if kind == "binary":
-        q = binarize(q)
-    elif kind == "absolute":
-        q = np.abs(q)
-    else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return SimilarityMatrix(entries=q, kind=kind)
+    return SimilarityMatrix(entries=_gram(as_matrix(y), kind), kind=kind)
 
 
 def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
     """Exact similarity matrix (Y.T Y)^d_max for noise-free union data.
 
     Powering reconnects clusters whose graph has diameter up to d_max; for
-    conforming data the zero/nonzero pattern is exactly the co-subspace
-    relation.  The binary kind keeps only that pattern: its 0/1 matrix is
-    raised by repeated squaring with each product binarized, which takes
-    O(log d_max) products and cannot overflow.
+    conforming data the zero/nonzero pattern, which both kinds share, is
+    exactly the co-subspace relation.  The binary kind powers only that
+    pattern, by repeated squaring with each product binarized: O(log d_max)
+    products in exact integer arithmetic, which cannot overflow.  The
+    absolute kind is a float power, re-symmetrized after its round-off; a
+    large enough d_max overflows it (ValueError).
     """
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    q = gram_similarity(y, kind).entries
-    powered = matrix_power(q, d_max) if kind == "absolute" else _pattern_power(q, d_max)
-    powered = 0.5 * (powered + powered.T)
-    return SimilarityMatrix(entries=powered, kind=kind)
+    q = _gram(as_matrix(y), kind)
+    if kind == "binary":
+        return SimilarityMatrix(entries=_pattern_power(q, d_max), kind=kind)
+    powered = matrix_power(q, d_max)
+    return SimilarityMatrix(entries=0.5 * (powered + powered.T), kind=kind)
 
 
 def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
-    """0/1 pattern of q^p for a 0/1 matrix q, by repeated squaring."""
+    """0/1 pattern of q^p for a symmetric 0/1 q; commuting powers keep it exactly symmetric."""
     if p == 1:
         return q
     half = _pattern_power(q, p // 2)
@@ -156,10 +159,9 @@ def median_aggregate(stack) -> SimilarityMatrix:
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:
-    """Copy of a square array with its diagonal set to 1."""
-    entries = mat.copy()
-    np.fill_diagonal(entries, 1.0)
-    return entries
+    """Set a square array's diagonal to 1 in place; returns the same array."""
+    np.fill_diagonal(mat, 1.0)
+    return mat
 
 
 def normalize_columns(y: np.ndarray) -> np.ndarray:
@@ -170,15 +172,13 @@ def normalize_columns(y: np.ndarray) -> np.ndarray:
 
 
 def elementwise_power(sim: SimilarityMatrix, alpha: float) -> SimilarityMatrix:
-    """Raise every entry of a nonnegative similarity matrix to `alpha` > 0."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Raise every entry of a nonnegative similarity matrix to a finite `alpha` > 0."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return SimilarityMatrix(entries=sim.entries**alpha, kind=sim.kind)
 
 
 def sim_baseline(w, r: int) -> SimilarityMatrix:
-    """Shape-interaction baseline |V_r V_r.T| from the skinny SVD of the data."""
-    triple = skinny_svd(w, r)
-    vvt = triple.right @ triple.right.T
-    vvt = 0.5 * (vvt + vvt.T)
-    return SimilarityMatrix(entries=np.abs(vvt), kind="absolute")
+    """Shape-interaction baseline |V_r V_r.T|, exactly symmetric, from the data's skinny SVD."""
+    right = skinny_svd(w, r).right
+    return SimilarityMatrix(entries=np.abs(right @ right.T), kind="absolute")

@@ -86,9 +86,11 @@ def sample_instance(
     """Draw noisy data from the model's subspaces.
 
     Coefficients are uniform in the unit ball of each subspace; Gaussian
-    noise with standard deviation `sigma` is added to every entry.
-    Columns stay grouped by subspace unless `shuffle` is set.
+    noise with standard deviation `sigma` (finite, >= 0) is added to every
+    entry.  Columns stay grouped by subspace unless `shuffle` is set.
     """
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     counts = tuple(int(c) for c in points_per_subspace)
     if len(counts) != model.n_subspaces:
         raise ValueError("points_per_subspace length must match the model")

@@ -104,6 +104,16 @@ class TestSynthCommand:
         assert code == 3
         assert "exceeds ambient dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "--trials", "1", "--k", "1"]],
+                             ids=["instance", "sweep"])
+    def test_bad_sigma_exits_data(self, tmp_path, capsys, sweep, sigma):
+        out = tmp_path / "s.csv"
+        code = main(["synth", *sweep, "--case", "1", "--sigma", sigma, "--out", str(out)])
+        assert code == 3
+        assert "sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_args_exits_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -175,6 +185,10 @@ class TestClusterCommand:
         (["--algo", "proto", "--M", "3", "--rank", "2"], "target_rank must be >= m_subspaces"),
         (["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "3", "--alpha", "0"],
          "alpha must be positive"),
+        (["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "3", "--alpha", "nan"],
+         "alpha must be positive and finite"),
+        (["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "3", "--alpha", "inf"],
+         "alpha must be positive and finite"),
     ])
     def test_config_error_is_usage_error(self, dataset, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +215,14 @@ class TestClusterCommand:
         code = main(["cluster", str(dataset), "--algo", "proto", "--M", "2", "--rank", "8"])
         assert code == 4
         assert "SVD did not converge" in capsys.readouterr().err
+
+    def test_exact_large_d_max_exits_zero(self, tmp_path, capsys):
+        # a float power of |Y.T Y| overflows on this instance at d_max = 5000
+        data = tmp_path / "w.csv"
+        main(["synth", "--case", "2", "--points", "100", "--sigma", "0", "--seed", "0",
+              "--out", str(data)])
+        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "5000"]) == 0
+        assert "clustering error: 0%" in capsys.readouterr().out
 
     def test_selection_failure_exits_four(self, tmp_path):
         # rank hides in single entries; tiny retry budget cannot find them
@@ -245,7 +267,7 @@ class TestBenchCommand:
                      str(tmp_path / "r.csv"), "--algo", "exact", "--dmax", "1"])
         assert code == 3
 
-    def test_bad_manifest_exits_three(self, tmp_path):
+    def test_bad_manifest_exits_three(self, tmp_path, capsys):
         bench = tmp_path / "bench"
         bench.mkdir()
         write(bench / "d.csv", "1,2\n3,4\n")
@@ -254,6 +276,14 @@ class TestBenchCommand:
                      "--out", str(tmp_path / "r.csv"), "--algo", "exact",
                      "--dmax", "1"])
         assert code == 3
+        for count in ("0", "-1"):
+            manifest = write(tmp_path / "manifest.csv", f"d.csv,cat,2\n\nd.csv,cat,{count}\n")
+            code = main(["bench", "--dir", str(bench), "--manifest", str(manifest),
+                         "--out", str(tmp_path / "r.csv"), "--algo", "proto", "--M", "2",
+                         "--rank", "2"])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"manifest.csv:3: cluster count '{count}' is not an integer >= 1" in err
 
 
 class TestCountFlags:

@@ -50,21 +50,21 @@ class TestClusterNoiseFree:
         assert clustering_error(labels, inst.truth) == 0.0
 
     def test_binary_kind_agrees(self):
+        # the 0/1 pattern power and the float power of |Y.T Y| share their zero pattern
         inst = union_instance(4)
         d_max = max(inst.model.subspace_dims)
-        a = cluster_noise_free(inst.data, d_max, "absolute")
-        b = cluster_noise_free(inst.data, d_max, "binary")
-        assert clustering_error(a, b) == 0.0
+        y = pinv(inst.data) @ inst.data
+        absolute = cluster.connected_components(simgen.similarity_noise_free(y, d_max, "absolute"))
+        np.testing.assert_array_equal(cluster_noise_free(inst.data, d_max).labels, absolute.labels)
 
     def test_binary_large_d_max_does_not_overflow(self):
-        # a float power of the 0/1 Gram matrix overflows here (300^199)
+        # a float power overflows here; the 0/1 pattern power cannot
         model = random_union_model(300, [4, 4, 4], seed=0)
         inst = sample_instance(model, [100, 100, 100], 0.0, seed=1)
-        labels = cluster_noise_free(inst.data, 200, "binary")
+        labels = cluster_noise_free(inst.data, 5000)
         assert labels.m_clusters == 3
         assert clustering_error(labels, inst.truth) == 0.0
-        np.testing.assert_array_equal(labels.labels,
-                                      cluster_noise_free(inst.data, 4, "absolute").labels)
+        np.testing.assert_array_equal(labels.labels, cluster_noise_free(inst.data, 4).labels)
 
 
 class TestProtoConfig:
@@ -410,6 +410,19 @@ class TestGramExactlySymmetric:
         np.matmul(y.T, y, out=g)
         assert np.array_equal(g, g.T)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("product", [
+        lambda a: simgen.gram_similarity(a, "absolute"),  # Y.T Y
+        lambda a: simgen.sim_baseline(a, 12),  # V V.T
+    ], ids=["gram", "baseline"])
+    def test_library_products_are_symmetric(self, layout, product):
+        # gram_similarity and sim_baseline do not re-symmetrize; a strided 12 x 300
+        # Y.T @ Y is not exactly symmetric in numpy 2.4, so gram_similarity copies it first
+        a = np.random.default_rng(12).standard_normal((24, 600))
+        a = a[::2, ::2] if layout == "strided" else np.asarray(a[:12, :300], order=layout)
+        entries = product(a).entries
+        assert np.array_equal(entries, entries.T)
+
 
 class TestPackedMatchesFullStack:
     """Medianing the upper triangles gives what the full stack and its symmetrization gave."""
@@ -441,3 +454,37 @@ class TestPackedMatchesFullStack:
             old = full_stack_median(w, r, r, range(rank_seed, rank_seed + n_trials),
                                     normalize_columns)
             np.testing.assert_array_equal(sim.entries, old)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Count SimilarityMatrix constructions (each one validates its n x n entries)."""
+    calls = []
+    post_init = simgen.SimilarityMatrix.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(simgen.SimilarityMatrix, "__post_init__", counting)
+    return calls
+
+
+class TestOneSimilarityMatrix:
+    """Each pipeline builds and validates its similarity matrix once."""
+
+    def test_proto_pins_the_median_in_place(self, constructions, monkeypatch):
+        medians = []
+        median_aggregate = simgen.median_aggregate
+        monkeypatch.setattr(simgen, "median_aggregate",
+                            lambda stack: medians.append(median_aggregate(stack)) or medians[-1])
+        w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
+        sim = proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=3))
+        assert len(constructions) == 1
+        assert sim is medians[0]
+        np.testing.assert_array_equal(np.diag(sim.entries), 1.0)
+
+    def test_cluster_noise_free(self, constructions):
+        inst = union_instance(4)
+        cluster_noise_free(inst.data, max(inst.model.subspace_dims))
+        assert len(constructions) == 1

@@ -244,6 +244,13 @@ class TestEnforceDiagonal:
         once = enforce_diagonal(a)
         np.testing.assert_array_equal(enforce_diagonal(once), once)
 
+    def test_in_place(self, rng):
+        a = rng.random((4, 4))
+        expected = a.copy()
+        np.fill_diagonal(expected, 1.0)
+        assert enforce_diagonal(a) is a
+        np.testing.assert_array_equal(a, expected)
+
 
 class TestNormalizeColumns:
     def test_three_four_five(self):
@@ -273,6 +280,12 @@ class TestElementwisePower:
     def test_squares(self):
         sim = SimilarityMatrix(entries=np.full((2, 2), 0.5), kind="absolute")
         np.testing.assert_allclose(elementwise_power(sim, 2.0).entries, np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        sim = SimilarityMatrix(entries=np.full((2, 2), 0.5), kind="absolute")
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            elementwise_power(sim, alpha)
 
 
 class TestSimBaseline:
