@@ -2,7 +2,7 @@
 
 Data files are plain numeric CSVs without a header (rows = ambient
 coordinates, columns = data vectors); ground-truth labels live in a
-sibling ``<name>.labels`` file with one integer per line.  All commands
+sibling ``<name>.labels`` file with one integer >= 0 per line.  All commands
 honor ``--seed`` and produce byte-identical outputs for identical
 invocations.
 
@@ -92,10 +92,9 @@ def load_csv(path) -> DatasetFile:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    values.append(int(line))
-                except ValueError:
-                    raise DataError(f"{lpath}:{lineno}: non-integer label") from None
+                if not line.isdecimal():
+                    raise DataError(f"{lpath}:{lineno}: label {line!r} is not an integer >= 0")
+                values.append(int(line))
         if len(values) != matrix.shape[1]:
             raise DataError(
                 f"{lpath}: {len(values)} labels for {matrix.shape[1]} data columns"

@@ -153,10 +153,10 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
 
     For each rank r in [r_min, r_max], runs n_trials CUR approximations
     with all columns and r rows (Y = pinv(R) R), normalizes the columns
-    of Y, medians the Gram matrices, raises the result elementwise to
-    alpha and clusters spectrally.  Ncut is evaluated on the powered
-    similarity matrix actually fed to the spectral step; ties at the
-    minimum go to the smaller rank.
+    of Y, medians the Gram matrices, raises the median's own matrix
+    elementwise to alpha in place and clusters spectrally.  Ncut is
+    evaluated on the powered similarity matrix actually fed to the spectral
+    step; ties at the minimum go to the smaller rank.
     """
     w = as_matrix(w)
     m, n = w.shape
@@ -169,9 +169,9 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
         rank_seed = config.seed + 1000 * rank_index
         seeds = range(rank_seed, rank_seed + config.n_trials)
         sim = _median_of_trials(w, rank_w, r, n, r, seeds, simgen.normalize_columns)
-        powered = simgen.elementwise_power(sim, config.alpha)
-        labels = _cluster.spectral_cluster(powered, m_subspaces, rank_seed)
-        ncut = _cluster.ncut_value(powered, labels)
+        simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
+        labels = _cluster.spectral_cluster(sim, m_subspaces, rank_seed)
+        ncut = _cluster.ncut_value(sim, labels)
         ncut_per_rank.append((r, ncut))
         if best is None or ncut < best[1]:
             best = (r, ncut, labels)

@@ -8,9 +8,9 @@ volumetric threshold, column normalization, entrywise medians over many
 random factorizations, and elementwise powers; those transforms all live
 here as well.
 
-Coefficient matrices are plain k x n numpy arrays; similarity matrices
-carry a `kind` tag in `SimilarityMatrix`, which validates its entries.
-The per-trial kernels take trusted arrays that the library made.
+Coefficient matrices are plain k x n numpy arrays; a `SimilarityMatrix`
+carries its entries only and validates them where it is built.  The
+per-trial kernels take trusted arrays that the library made.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .cur import CurFactors
 from .linalg import BINARIZE_TOL, as_matrix, matrix_power, pinv, skinny_svd
 
-#: allowed values of SimilarityMatrix.kind
+#: the Gram similarities `gram_similarity` and `similarity_noise_free` compute
 KINDS = ("binary", "absolute")
 
 
@@ -32,26 +32,16 @@ class SimilarityMatrix:
     """Symmetric nonnegative n x n matrix."""
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         entries = as_matrix(self.entries)
         if entries.shape[0] != entries.shape[1]:
             raise ValueError(f"similarity matrix must be square, got {entries.shape}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not np.allclose(entries, entries.T, atol=1e-12):
             raise ValueError("similarity matrix must be symmetric")
         if np.any(entries < 0):
             raise ValueError("similarity matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def coefficient_matrix(factors: CurFactors) -> np.ndarray:
@@ -77,7 +67,7 @@ def _gram(y: np.ndarray, kind: str) -> np.ndarray:
 
 def gram_similarity(y, kind: str) -> SimilarityMatrix:
     """Binary or absolute-value version of the Gram matrix Y.T Y."""
-    return SimilarityMatrix(entries=_gram(as_matrix(y), kind), kind=kind)
+    return SimilarityMatrix(entries=_gram(as_matrix(y), kind))
 
 
 def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
@@ -95,9 +85,12 @@ def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     q = _gram(as_matrix(y), kind)
     if kind == "binary":
-        return SimilarityMatrix(entries=_pattern_power(q, d_max), kind=kind)
+        return SimilarityMatrix(entries=_pattern_power(q, d_max))
     powered = matrix_power(q, d_max)
-    return SimilarityMatrix(entries=0.5 * (powered + powered.T), kind=kind)
+    if not np.all(np.isfinite(powered)):
+        raise ValueError(f"the absolute power (Y.T Y)^d_max overflows float64 at d_max={d_max}; "
+                         "the binary kind has the same zero pattern and cannot overflow")
+    return SimilarityMatrix(entries=0.5 * (powered + powered.T))
 
 
 def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
@@ -134,28 +127,20 @@ def upper_triangle(n: int) -> np.ndarray:
     return np.ravel_multi_index(np.triu_indices(n), (n, n))
 
 
-def median_aggregate(stack) -> SimilarityMatrix:
+def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     """Entrywise median of k symmetric n x n matrices, then absolute value.
 
-    The packed form is a k x n(n+1)/2 float array whose row i holds trial
+    `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
     i's upper triangle, in `upper_triangle(n)` order; it is partitioned in
-    place, scrambling it.  A list of n x n arrays or SimilarityMatrix values,
-    or a k x n x n array, is first reduced to a new packed array of its upper
-    triangles, so a non-symmetric input is read from its upper triangle
-    alone (a ragged list raises ValueError).  The median, taken once per
-    upper-triangle entry, is mirrored into a symmetric matrix.  An even
-    count averages the middle two.
+    place, scrambling it.  The median, taken once per upper-triangle entry,
+    is mirrored into a symmetric matrix.  An even count averages the middle
+    two.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
-        stack = stack.reshape(len(stack), -1)[:, upper_triangle(stack.shape[1])]
-    n = (math.isqrt(8 * stack.shape[-1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
-    if stack.ndim != 2 or n * (n + 1) // 2 != stack.shape[1]:
-        raise ValueError(f"need k square matrices or k packed upper triangles, got {stack.shape}")
+    n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
     upper = upper_triangle(n)
     med = np.empty((n, n))
     med.flat[upper] = med.T.flat[upper] = np.abs(np.median(stack, axis=0, overwrite_input=True))
-    return SimilarityMatrix(entries=med, kind="absolute")
+    return SimilarityMatrix(entries=med)
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:
@@ -172,13 +157,21 @@ def normalize_columns(y: np.ndarray) -> np.ndarray:
 
 
 def elementwise_power(sim: SimilarityMatrix, alpha: float) -> SimilarityMatrix:
-    """Raise every entry of a nonnegative similarity matrix to a finite `alpha` > 0."""
+    """Raise every entry of `sim` to a finite `alpha` > 0 in place; returns the same `sim`.
+
+    Entries above 1, as a median can have by round-off, overflow at a huge
+    alpha (ValueError); the power keeps them symmetric and nonnegative.
+    """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return SimilarityMatrix(entries=sim.entries**alpha, kind=sim.kind)
+    entries = sim.entries  # a frozen field: raise the array, not the attribute
+    entries **= alpha
+    if not np.isfinite(entries).all():
+        raise ValueError(f"alpha={alpha} overflows float64 in the elementwise power")
+    return sim
 
 
 def sim_baseline(w, r: int) -> SimilarityMatrix:
     """Shape-interaction baseline |V_r V_r.T|, exactly symmetric, from the data's skinny SVD."""
     right = skinny_svd(w, r).right
-    return SimilarityMatrix(entries=np.abs(right @ right.T), kind="absolute")
+    return SimilarityMatrix(entries=np.abs(right @ right.T))

@@ -76,6 +76,11 @@ def _unit_ball(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
     return g * radii
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def sample_instance(
     model: UnionModel,
     points_per_subspace,
@@ -89,8 +94,7 @@ def sample_instance(
     noise with standard deviation `sigma` (finite, >= 0) is added to every
     entry.  Columns stay grouped by subspace unless `shuffle` is set.
     """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     counts = tuple(int(c) for c in points_per_subspace)
     if len(counts) != model.n_subspaces:
         raise ValueError("points_per_subspace length must match the model")
@@ -135,12 +139,14 @@ def run_sweep(
 ) -> list:
     """Per-sigma clustering-error statistics for the noisy pipeline.
 
-    For each noise level, generates fresh models and instances, runs the
-    multi-trial pipeline and records the per-instance clustering error.
-    Returns one record per sigma with mean/median/min/max error.
+    Checks every sigma first, then per noise level generates fresh models
+    and instances, runs the multi-trial pipeline and records each clustering
+    error.  Returns one record per sigma with mean/median/min/max error.
     """
     if instances_per_sigma < 1:
         raise ValueError("instances_per_sigma must be >= 1")
+    for sigma in sigmas:
+        _check_sigma(sigma)
     case_dims = tuple(int(d) for d in case_dims)
     records = []
     for si, sigma in enumerate(sigmas):

@@ -22,6 +22,12 @@ def union_instance(seed, m=30, max_subspaces=4, max_dim=4, extra_points=3, sigma
     return instance
 
 
+def pack(mats):
+    """Upper triangles of k symmetric n x n matrices, one row each: the median's packed stack."""
+    mats = np.asarray(mats, dtype=float)
+    return mats[(slice(None), *np.triu_indices(mats.shape[1]))]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

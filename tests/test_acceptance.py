@@ -224,7 +224,7 @@ def test_criterion_7_ncut_oracle_equivalence():
         n = int(rng.integers(2, 9))
         s = rng.random((n, n))
         s = 0.5 * (s + s.T)
-        sim = SimilarityMatrix(entries=s, kind="absolute")
+        sim = SimilarityMatrix(entries=s)
         m = int(rng.integers(2, min(n, 4) + 1))
         labels = LabelVector(labels=rng.integers(0, m, n), m_clusters=m)
         degrees = s.sum(axis=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curcluster import pipeline
+from curcluster import pipeline, synth
 from curcluster.cli import (
     DataError,
     labels_path,
@@ -49,6 +49,13 @@ class TestLoadCsv:
         p = write(tmp_path / "d.csv", "1,2,3\n")
         write(tmp_path / "d.labels", "0\n1\n")
         with pytest.raises(DataError, match="2 labels for 3 data columns"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("label", ["-1", "x"])
+    def test_bad_label_names_line(self, tmp_path, label):
+        p = write(tmp_path / "d.csv", "1,2,3\n")
+        write(tmp_path / "d.labels", f"0\n1\n{label}\n")
+        with pytest.raises(DataError, match=rf"d\.labels:3: label '{label}' is not an integer >= 0"):
             load_csv(p)
 
     def test_empty_file(self, tmp_path):
@@ -112,6 +119,18 @@ class TestSynthCommand:
         code = main(["synth", *sweep, "--case", "1", "--sigma", sigma, "--out", str(out)])
         assert code == 3
         assert "sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_checks_every_sigma_first(self, tmp_path, capsys, monkeypatch):
+        def no_level_runs(*args, **kwargs):
+            raise AssertionError("a noise level ran before every sigma was checked")
+
+        monkeypatch.setattr(synth, "proto_cluster", no_level_runs)
+        out = tmp_path / "s.csv"
+        code = main(["synth", "--sweep", "--case", "2", "--trials", "3", "--sigma", "0.01",
+                     "--sigma", "nan", "--out", str(out)])
+        assert code == 3
+        assert "sigma must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_args_exits_usage(self, capsys):

@@ -24,7 +24,7 @@ def block_similarity(sizes, cross=0.0):
     for size in sizes:
         s[offset : offset + size, offset : offset + size] = 1.0
         offset += size
-    return SimilarityMatrix(entries=s, kind="absolute")
+    return SimilarityMatrix(entries=s)
 
 
 def labels_of(sizes):
@@ -70,7 +70,7 @@ class TestSpectralCluster:
         assert clustering_error(result, labels_of([4, 4])) == 0.0
 
     def test_identity_each_alone(self):
-        sim = SimilarityMatrix(entries=np.eye(5), kind="binary")
+        sim = SimilarityMatrix(entries=np.eye(5))
         result = spectral_cluster(sim, 5, seed=0)
         assert len(set(result.labels.tolist())) == 5
 
@@ -78,7 +78,7 @@ class TestSpectralCluster:
         sim = block_similarity([6, 6], cross=0.01)
         result = spectral_cluster(sim, 2, seed=0)
         # oracle: components of the similarity thresholded at 0.5
-        hard = SimilarityMatrix(entries=(sim.entries > 0.5).astype(float), kind="binary")
+        hard = SimilarityMatrix(entries=(sim.entries > 0.5).astype(float))
         oracle = connected_components(hard)
         assert clustering_error(result, oracle) == 0.0
 
@@ -89,7 +89,7 @@ class TestPccCluster:
         assert clustering_error(result, labels_of([5, 3])) == 0.0
 
     def test_all_ones_single_cluster(self):
-        sim = SimilarityMatrix(entries=np.ones((6, 6)), kind="absolute")
+        sim = SimilarityMatrix(entries=np.ones((6, 6)))
         result = pcc_cluster(sim, 1, seed=0)
         assert set(result.labels.tolist()) == {0}
 
@@ -98,7 +98,7 @@ class TestPccCluster:
         y = pinv(inst.data) @ inst.data
         sim = similarity_noise_free(y, max(inst.model.subspace_dims), "absolute")
         # the co-subspace pattern: blocks of ones, exactly rank 1 each
-        pattern = SimilarityMatrix(entries=binarize(sim.entries), kind="binary")
+        pattern = SimilarityMatrix(entries=binarize(sim.entries))
         result = pcc_cluster(pattern, inst.model.n_subspaces, seed=0)
         assert clustering_error(result, inst.truth) == 0.0
 
@@ -110,7 +110,7 @@ class TestConnectedComponents:
         assert clustering_error(result, labels_of([3, 5])) == 0.0
 
     def test_identity(self):
-        result = connected_components(SimilarityMatrix(entries=np.eye(4), kind="binary"))
+        result = connected_components(SimilarityMatrix(entries=np.eye(4)))
         assert result.m_clusters == 4
 
     def test_chain(self):
@@ -118,7 +118,7 @@ class TestConnectedComponents:
         s = np.eye(n)
         for i in range(n - 1):
             s[i, i + 1] = s[i + 1, i] = 1.0
-        result = connected_components(SimilarityMatrix(entries=s, kind="binary"))
+        result = connected_components(SimilarityMatrix(entries=s))
         assert result.m_clusters == 1
 
 
@@ -129,7 +129,7 @@ class TestNcut:
 
     def test_two_nodes_split(self):
         s = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sim = SimilarityMatrix(entries=s, kind="absolute")
+        sim = SimilarityMatrix(entries=s)
         labels = LabelVector(labels=np.array([0, 1]), m_clusters=2)
         assert ncut_value(sim, labels) == pytest.approx(1.0)
 
@@ -139,7 +139,7 @@ class TestNcut:
         n = int(rng.integers(2, 7))
         s = rng.random((n, n))
         s = 0.5 * (s + s.T)
-        sim = SimilarityMatrix(entries=s, kind="absolute")
+        sim = SimilarityMatrix(entries=s)
         labels = LabelVector(labels=rng.integers(0, 2, n), m_clusters=2)
         degrees = s.sum(axis=1)
         expected = 0.0
@@ -155,7 +155,7 @@ class TestNcut:
         assert ncut_value(sim, labels) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_volume_penalty(self):
-        sim = SimilarityMatrix(entries=np.zeros((3, 3)), kind="absolute")
+        sim = SimilarityMatrix(entries=np.zeros((3, 3)))
         labels = LabelVector(labels=np.array([0, 0, 1]), m_clusters=2)
         assert ncut_value(sim, labels) == 2.0
 
@@ -208,5 +208,5 @@ class TestBackendAgreement:
         assert clustering_error(spectral_cluster(sim, m, seed=0), cc) == 0.0
         # principal coordinates separate the blocks cleanly on the 0/1 pattern,
         # where each block is exactly rank one
-        pattern = SimilarityMatrix(entries=binarize(sim.entries), kind="binary")
+        pattern = SimilarityMatrix(entries=binarize(sim.entries))
         assert clustering_error(pcc_cluster(pattern, m, seed=0), cc) == 0.0

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import union_instance
+from hypothesis import given, settings, strategies as st
+
+from conftest import pack, union_instance
 from curcluster import cli, cluster, cur, linalg, pipeline, simgen, synth
 from curcluster.cluster import LabelVector, clustering_error, ncut_value
 from curcluster.cur import SelectionFailed
@@ -111,7 +113,7 @@ class TestProtoCluster:
         )
         single = proto_similarity(inst.data, cfg)
         # median of one matrix is abs of that matrix itself
-        agg = median_aggregate([single])
+        agg = median_aggregate(pack([single.entries]))
         np.testing.assert_array_equal(single.entries, agg.entries)
 
     @pytest.mark.parametrize("backend", ["pcc", "spectral", "kmeans"])
@@ -197,7 +199,7 @@ class TestRcurCluster:
             rows = np.sort(rng.choice(30, r, replace=False))
             y = pinv(inst.data[rows]) @ inst.data[rows]
             trial_sims.append(normalize_columns(y).T @ normalize_columns(y))
-        sim = elementwise_power(median_aggregate(trial_sims), 2.0)
+        sim = elementwise_power(median_aggregate(pack(trial_sims)), 2.0)
         random_labels = LabelVector(labels=rng.integers(0, 2, 20), m_clusters=2)
         assert ncut_value(sim, inst.truth) < ncut_value(sim, random_labels)
 
@@ -453,7 +455,8 @@ class TestPackedMatchesFullStack:
             rank_seed = cfg.seed + 1000 * rank_index
             old = full_stack_median(w, r, r, range(rank_seed, rank_seed + n_trials),
                                     normalize_columns)
-            np.testing.assert_array_equal(sim.entries, old)
+            # rcur powers the median's own matrix in place
+            np.testing.assert_array_equal(sim.entries, old**cfg.alpha)
 
 
 @pytest.fixture
@@ -484,7 +487,51 @@ class TestOneSimilarityMatrix:
         assert sim is medians[0]
         np.testing.assert_array_equal(np.diag(sim.entries), 1.0)
 
+    def test_rcur_powers_the_median_in_place(self, constructions, monkeypatch):
+        medians = []
+        median_aggregate = simgen.median_aggregate
+        monkeypatch.setattr(simgen, "median_aggregate",
+                            lambda stack: medians.append(median_aggregate(stack)) or medians[-1])
+        w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
+        result = rcur_cluster(w, 2, RcurConfig(r_min=4, r_max=6, alpha=2.0, n_trials=3))
+        assert len(medians) == len(result.ncut_per_rank) == 3
+        assert len(constructions) == 3  # one per rank: the median's own matrix
+        for rank_index, (sim, (_, ncut)) in enumerate(zip(medians, result.ncut_per_rank)):
+            # the powered median is the matrix that was clustered and scored
+            assert ncut_value(sim, cluster.spectral_cluster(sim, 2, 1000 * rank_index)) == ncut
+
     def test_cluster_noise_free(self, constructions):
         inst = union_instance(4)
         cluster_noise_free(inst.data, max(inst.model.subspace_dims))
         assert len(constructions) == 1
+
+
+@st.composite
+def exact_instances(draw):
+    """Noise-free union data: M in [1, 5] subspaces of dimension <= 4, n <= 60 points."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    points = [d + draw(st.integers(1, 12 - d)) for d in dims]
+    seed = draw(st.integers(0, 2**16))
+    model = random_union_model(sum(dims) + draw(st.integers(0, 8)), dims, seed)
+    inst = sample_instance(model, points, 0.0, seed + 1)
+    return inst.data, max(dims), draw(st.permutations(range(sum(points))))
+
+
+class TestExactPathProperties:
+    """Invariances of `cluster_noise_free`, checked on drawn instances."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(exact_instances())
+    def test_scale_invariant(self, instance):
+        w, d_max, _ = instance
+        labels = cluster_noise_free(w, d_max).labels
+        for scale in (1e8, 1e-8):
+            np.testing.assert_array_equal(cluster_noise_free(w * scale, d_max).labels, labels)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(exact_instances())
+    def test_column_permutation_equivariant(self, instance):
+        w, d_max, perm = instance
+        labels = cluster_noise_free(w, d_max)
+        permuted = LabelVector(labels=labels.labels[list(perm)], m_clusters=labels.m_clusters)
+        assert clustering_error(cluster_noise_free(w[:, perm], d_max), permuted) == 0.0

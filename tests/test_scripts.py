@@ -3,16 +3,19 @@
 import ast
 import importlib.util
 import inspect
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from curcluster import synth
+from curcluster import cli, synth
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ablate_8c.py"
 PERFBENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 
 
 def load(path):
@@ -65,3 +68,17 @@ def test_sweep_workload_bindings_exist():
     for name in wrapped:
         assert callable(getattr(synth, name, None)), f"synth.{name} is gone"
         assert name in synth.run_sweep.__code__.co_names, f"run_sweep no longer calls {name}"
+
+
+def test_readme_examples():
+    # the Python snippet runs, and every command of the "Command line" block parses
+    text = README.read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(snippet, str(README), "exec"), {})
+    commands = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in commands.replace("\\\n", " ").splitlines()
+             if line.startswith("curcluster ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import union_instance
+from conftest import pack, union_instance
 from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
@@ -115,6 +115,17 @@ class TestSimilarityNoiseFree:
         i, j = np.indices((n, n))
         np.testing.assert_array_equal(sim.entries, (abs(i - j) <= d_max).astype(float))
 
+    def test_absolute_overflow_names_d_max(self):
+        # Y is finite; only the float power (Y.T Y)^5000 of the absolute kind overflows
+        from curcluster import random_union_model, sample_instance
+
+        model = random_union_model(300, (4, 4, 4), 0)
+        w = sample_instance(model, (100, 100, 100), 0.0, 1).data
+        y = pinv(w) @ w
+        with (pytest.warns(RuntimeWarning, match="overflow"),
+              pytest.raises(ValueError, match="overflows float64 at d_max=5000.*binary kind")):
+            similarity_noise_free(y, 5000, "absolute")
+
     def test_binary_pattern_matches_float_power(self, rng):
         y = rng.standard_normal((6, 20)) * (rng.random((6, 20)) < 0.2)
         for d_max in (1, 2, 3, 6):
@@ -191,12 +202,12 @@ class TestThresholdMatchesStableSort:
 
 class TestMedianAggregate:
     def test_single_matrix_abs(self):
-        sim = median_aggregate([np.array([[1.0, -2.0], [-2.0, 1.0]])])
+        sim = median_aggregate(pack([[[1.0, -2.0], [-2.0, 1.0]]]))
         np.testing.assert_array_equal(sim.entries, [[1.0, 2.0], [2.0, 1.0]])
 
     def test_outlier_robust(self):
         mats = [np.full((2, 2), v) for v in (1.0, 5.0, 100.0)]
-        sim = median_aggregate(mats)
+        sim = median_aggregate(pack(mats))
         np.testing.assert_array_equal(sim.entries, np.full((2, 2), 5.0))
 
     def test_matches_naive_median(self, rng):
@@ -204,30 +215,16 @@ class TestMedianAggregate:
         for _ in range(25):
             a = rng.standard_normal((6, 6))
             mats.append(a + a.T)
-        sim = median_aggregate(mats)
+        sim = median_aggregate(pack(mats))
         for i in range(6):
             for j in range(6):
                 vals = sorted(m[i, j] for m in mats)
                 assert sim.entries[i, j] == pytest.approx(abs(vals[12]))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            median_aggregate([np.eye(2), np.eye(3)])
-
     def test_packed_matches_full(self, rng):
         mats = np.array([a + a.T for a in rng.standard_normal((8, 5, 5))])
-        packed = mats[(slice(None), *np.triu_indices(5))]
-        np.testing.assert_array_equal(median_aggregate(packed).entries,
-                                      median_aggregate(mats).entries)
-
-    def test_reads_upper_triangle(self):
-        sim = median_aggregate([np.array([[1.0, -2.0], [7.0, 3.0]])])
-        np.testing.assert_array_equal(sim.entries, [[1.0, 2.0], [2.0, 3.0]])
-
-    @pytest.mark.parametrize("shape", [(3, 4), (3, 2, 4), (3,)])
-    def test_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="square matrices or k packed"):
-            median_aggregate(np.ones(shape))
+        full = np.abs(np.median(mats, axis=0))
+        np.testing.assert_array_equal(median_aggregate(pack(mats)).entries, full)
 
 
 class TestEnforceDiagonal:
@@ -270,20 +267,37 @@ class TestNormalizeColumns:
 
 class TestElementwisePower:
     def test_alpha_one_identity(self):
-        sim = SimilarityMatrix(entries=np.array([[0.5, 0.2], [0.2, 0.5]]), kind="absolute")
+        sim = SimilarityMatrix(entries=np.array([[0.5, 0.2], [0.2, 0.5]]))
         np.testing.assert_array_equal(elementwise_power(sim, 1.0).entries, sim.entries)
 
     def test_binary_invariant(self):
-        sim = SimilarityMatrix(entries=np.eye(3), kind="binary")
+        sim = SimilarityMatrix(entries=np.eye(3))
         np.testing.assert_array_equal(elementwise_power(sim, 3.7).entries, np.eye(3))
 
     def test_squares(self):
-        sim = SimilarityMatrix(entries=np.full((2, 2), 0.5), kind="absolute")
+        sim = SimilarityMatrix(entries=np.full((2, 2), 0.5))
         np.testing.assert_allclose(elementwise_power(sim, 2.0).entries, np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("alpha", [2, 2.0, 0.5, 1.7, 3.0, 1.0])
+    def test_in_place_matches_power_bit_for_bit(self, rng, alpha):
+        a = rng.random((7, 7))
+        sim = SimilarityMatrix(entries=a + a.T)
+        expected = sim.entries**alpha
+        entries = sim.entries
+        assert elementwise_power(sim, alpha) is sim
+        assert sim.entries is entries
+        np.testing.assert_array_equal(sim.entries.view(np.uint64), expected.view(np.uint64))
+
+    def test_overflow_names_alpha(self):
+        # a median entry can exceed 1 by round-off; the old out-of-place power was validated
+        sim = SimilarityMatrix(entries=np.full((2, 2), 1.0 + 2.0**-52))
+        with (pytest.warns(RuntimeWarning, match="overflow"),
+              pytest.raises(ValueError, match="alpha=1e\\+300 overflows float64")):
+            elementwise_power(sim, 1e300)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_alpha(self, alpha):
-        sim = SimilarityMatrix(entries=np.full((2, 2), 0.5), kind="absolute")
+        sim = SimilarityMatrix(entries=np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             elementwise_power(sim, alpha)
 
