@@ -4,8 +4,8 @@ A CUR factorization picks index sets I (rows) and J (columns) of a
 matrix A and forms C = A[:, J], R = A[I, :] and U = A[I, J]; whenever
 rank(U) = rank(A) the identity A = C pinv(U) R holds exactly.  Rows and
 columns are selected uniformly at random; a draw whose U has deficient
-rank is rejected and retried.  Each draw takes one SVD, of U, for both the
-rank test and Y = pinv(U) R; the pipelines compute rank(A) once and pass it in.
+rank is rejected and retried.  Each draw takes one SVD, of U, and returns
+it cut to its rank, not Y; the pipelines compute rank(A) once and pass it in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _pinv_from_svd, _rank_cutoff, as_matrix, numerical_rank, pinv
+from .linalg import _rank_cutoff, as_matrix, numerical_rank, pinv
 
 MAX_RETRIES = 100  # random selections drawn before a sampler gives up
 
@@ -117,14 +117,15 @@ def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
 
 
 def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries=MAX_RETRIES):
-    """First selection of validated `a` with rank(U) >= `required`, and its Y."""
+    """First selection of validated `a` with rank(U) >= `required`, and U's SVD cut to its rank."""
     m, n = a.shape
     for attempt in range(max_retries):
         selection = select_uniform(m, n, s, k, seed + attempt)
         u = a[np.ix_(selection.row_indices, selection.col_indices)]
-        svd = np.linalg.svd(u, full_matrices=False)
-        if np.sum(svd[1] > _rank_cutoff(svd[1], u.shape)) >= required:
-            return selection, _pinv_from_svd(*svd) @ a[selection.row_indices, :]
+        left, sing, right = np.linalg.svd(u, full_matrices=False)
+        rank = np.count_nonzero(sing > _rank_cutoff(sing, u.shape))
+        if rank >= required:
+            return selection, (left[:, :rank], sing[:rank], right[:rank])
     raise SelectionFailed(max_retries)
 
 

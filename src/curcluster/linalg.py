@@ -6,8 +6,8 @@ call it, the private helpers take trusted arrays.  The numerical-rank
 convention used everywhere is a singular value cutoff of
 ``RANK_TOL * max(m, n)`` relative to the largest singular value; `cur`
 and `simgen` rely on this being a single shared constant.  The CUR
-sampler applies `_rank_cutoff` and `_pinv_from_svd` to the one SVD of U
-it takes per draw.
+sampler cuts the one SVD of U it takes per draw with `_rank_cutoff` and
+returns it, not Y; `proto`'s trial applies `_pinv_from_svd` to it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from . import cluster as _cluster
 from . import simgen
 from .cluster import LabelVector
 from .cur import _required_rank, _sample
-from .linalg import as_matrix, numerical_rank, pinv
+from .linalg import _pinv_from_svd, as_matrix, numerical_rank, pinv
 
 BACKENDS = ("pcc", "spectral", "kmeans")
 
@@ -104,21 +104,27 @@ def cluster_noise_free(w, d_max: int) -> LabelVector:
     return _cluster.connected_components(sim)
 
 
-def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, transform):
-    """Median of transform(Y)'s Gram matrices, their upper triangles packed in one stack.
+def _rcur_factor(r_rows, svd):
+    """rcur's trial factor: V.T = S^-1 U.T R normalized (U = R; Y = V V.T has its column norms)."""
+    return simgen.normalize_columns((svd[0] / svd[1]).T @ r_rows)  # zero columns of R stay 0
 
-    Each Gram product goes into one n x n scratch matrix (Y.T Y written
-    with `out=` is exactly symmetric), and its upper triangle into the
-    trial's row of the stack, which the median partitions in place.
+
+def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, factor):
+    """Median of the trials' F.T F, F = factor(R, svd of U), upper triangles packed in one stack.
+
+    Each F.T F is written with `out=` (so exactly symmetric) into one n x n scratch matrix and its
+    upper triangle into the trial's row of the stack, which the median partitions in place.
     """
     required = _required_rank(target_rank, rows, cols, rank_w)
     n = w.shape[1]
+    # the stack first, so that it can take the heap hole the previous call's stack left
+    stack = np.empty((len(seeds), n * (n + 1) // 2))
     upper = simgen.upper_triangle(n)
     gram = np.empty((n, n))
-    stack = np.empty((len(seeds), upper.size))
     for i, seed in enumerate(seeds):
-        y = transform(_sample(w, rows, cols, required, seed)[1])
-        np.matmul(y.T, y, out=gram)
+        selection, svd = _sample(w, rows, cols, required, seed)
+        f = factor(w[selection.row_indices], svd)
+        np.matmul(f.T, f, out=gram)
         np.take(gram, upper, out=stack[i])
     return simgen.median_aggregate(stack)
 
@@ -131,7 +137,8 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     seeds = range(config.seed, config.seed + config.n_trials)
     sim = _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
                             config.target_rank, seeds,
-                            lambda y: simgen.threshold_volumetric(y, config.m_subspaces))
+                            lambda r_rows, svd: simgen.threshold_volumetric(
+                                _pinv_from_svd(*svd) @ r_rows, config.m_subspaces))
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 
@@ -151,12 +158,11 @@ def proto_cluster(w, config: ProtoConfig) -> LabelVector:
 def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     """Rank-sweep clustering; keeps the rank minimizing the Ncut value.
 
-    For each rank r in [r_min, r_max], runs n_trials CUR approximations
-    with all columns and r rows (Y = pinv(R) R), normalizes the columns
-    of Y, medians the Gram matrices, raises the median's own matrix
-    elementwise to alpha in place and clusters spectrally.  Ncut is
-    evaluated on the powered similarity matrix actually fed to the spectral
-    step; ties at the minimum go to the smaller rank.
+    For each rank r in [r_min, r_max], medians n_trials CUR draws with all
+    columns and r rows, each the Gram matrix of V.T's normalized columns
+    (U = R, so Y = pinv(R) R = V V.T has V.T's column norms), raises the
+    median elementwise to alpha in place and clusters spectrally.  Ncut is
+    scored on the powered matrix that was clustered; ties go to the smaller rank.
     """
     w = as_matrix(w)
     m, n = w.shape
@@ -168,7 +174,7 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
         rank_seed = config.seed + 1000 * rank_index
         seeds = range(rank_seed, rank_seed + config.n_trials)
-        sim = _median_of_trials(w, rank_w, r, n, r, seeds, simgen.normalize_columns)
+        sim = _median_of_trials(w, rank_w, r, n, r, seeds, _rcur_factor)
         simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
         labels = _cluster.spectral_cluster(sim, m_subspaces, rank_seed)
         ncut = _cluster.ncut_value(sim, labels)

@@ -373,7 +373,8 @@ class TestPinOnce:
         required = cur._required_rank(cfg.target_rank, cfg.rows(), n, numerical_rank(w))
         trials = []
         for seed in range(cfg.seed, cfg.seed + n_trials):
-            y = simgen.threshold_volumetric(cur._sample(w, cfg.rows(), n, required, seed)[1], 3)
+            selection, svd = cur._sample(w, cfg.rows(), n, required, seed)
+            y = proto_factor(3)(w[selection.row_indices], svd)
             trials.append(simgen.enforce_diagonal(y.T @ y))
         med = np.abs(np.median(np.array(trials), axis=0))
 
@@ -385,13 +386,19 @@ class TestPinOnce:
         assert len(pins) == 1
 
 
-def full_stack_median(w, rows, target_rank, seeds, transform):
+def proto_factor(m):
+    """proto's per-trial factor, as `proto_similarity` builds it: Y = pinv(U) R, thresholded."""
+    return lambda r_rows, svd: simgen.threshold_volumetric(linalg._pinv_from_svd(*svd) @ r_rows, m)
+
+
+def full_stack_median(w, rows, target_rank, seeds, factor):
     """The protocol before packing: a full k x n x n stack, its median, then 0.5 (med + med.T)."""
     n = w.shape[1]
     required = cur._required_rank(target_rank, rows, n, numerical_rank(w))
     stack = np.empty((len(seeds), n, n))
     for i, seed in enumerate(seeds):
-        y = transform(cur._sample(w, rows, n, required, seed)[1])
+        selection, svd = cur._sample(w, rows, n, required, seed)
+        y = factor(w[selection.row_indices], svd)
         np.matmul(y.T, y, out=stack[i])
     med = np.abs(np.median(stack, axis=0))
     return 0.5 * (med + med.T)
@@ -435,8 +442,7 @@ class TestPackedMatchesFullStack:
         w = sample_instance(model, [12, 12, 12], 0.05, seed=71).data
         cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=n_trials, seed=5)
         old = full_stack_median(w, cfg.rows(), cfg.target_rank,
-                                range(cfg.seed, cfg.seed + n_trials),
-                                lambda y: simgen.threshold_volumetric(y, 3))
+                                range(cfg.seed, cfg.seed + n_trials), proto_factor(3))
         np.testing.assert_array_equal(proto_similarity(w, cfg).entries,
                                       simgen.enforce_diagonal(old))
 
@@ -454,7 +460,7 @@ class TestPackedMatchesFullStack:
         for rank_index, (r, sim) in enumerate(zip(range(8, 11), medians)):
             rank_seed = cfg.seed + 1000 * rank_index
             old = full_stack_median(w, r, r, range(rank_seed, rank_seed + n_trials),
-                                    normalize_columns)
+                                    pipeline._rcur_factor)
             # rcur powers the median's own matrix in place
             np.testing.assert_array_equal(sim.entries, old**cfg.alpha)
 
@@ -535,3 +541,37 @@ class TestExactPathProperties:
         labels = cluster_noise_free(w, d_max)
         permuted = LabelVector(labels=labels.labels[list(perm)], m_clusters=labels.m_clusters)
         assert clustering_error(cluster_noise_free(w[:, perm], d_max), permuted) == 0.0
+
+
+@st.composite
+def rcur_draws(draw):
+    """W of random rank, one zero and one duplicated column, n <= 60; r in [1, rank(W) + 1].
+
+    W is a product of Gaussian factors, so it is well conditioned.  Near-rank-deficient W (such a
+    product plus 1e-3 noise, r at its numerical rank) is left out: there Y = pinv(R) R is itself
+    up to 4e-10 away from the projector a QR of R.T gives, so a 1e-12 comparison means nothing.
+    """
+    m, n = draw(st.integers(2, 40)), draw(st.integers(3, 60))
+    rank = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    w[:, 0] = 0.0
+    w[:, -1] = w[:, 1]
+    return w, draw(st.integers(1, min(numerical_rank(w) + 1, m))), draw(st.integers(0, 2**16))
+
+
+class TestRcurFactor:
+    """rcur's trial Gram from V.T's normalized columns is the Gram of Y = pinv(R) R's."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(rcur_draws())
+    def test_matches_normalized_coefficient_gram(self, instance):
+        w, r, seed = instance
+        n = w.shape[1]
+        required = cur._required_rank(r, r, n, numerical_rank(w))
+        selection, svd = cur._sample(w, r, n, required, seed)
+        rows = w[selection.row_indices]
+        y = normalize_columns(pinv(rows) @ rows)
+        f = pipeline._rcur_factor(rows, svd)
+        assert not f[:, 0].any()  # the zero point keeps an exactly zero column, as in Y
+        np.testing.assert_allclose(f.T @ f, y.T @ y, rtol=0, atol=1e-12)
