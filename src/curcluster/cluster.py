@@ -3,18 +3,19 @@
 Provides Lloyd's k-means with k-means++ seeding and restarts, spectral
 clustering on the symmetric normalized Laplacian, principal-coordinate
 clustering (k-means on the order-M principal coordinates of the
-similarity matrix), exact connected-components labeling, the Ncut value
-of a partition, and the permutation-invariant clustering-error metric.
+similarity matrix, taken from its symmetric eigendecomposition), exact
+connected-components labeling, the Ncut value of a partition, and the
+permutation-invariant clustering-error metric, which matches labels by
+an optimal assignment and so takes any number of clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .linalg import as_matrix, skinny_svd
+from .linalg import _rank_cutoff, as_matrix
 from .simgen import SimilarityMatrix, binarize
 
 _KMEANS_MAX_ITER = 300
@@ -137,12 +138,24 @@ def spectral_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> Label
 def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVector:
     """Principal-coordinate clustering: k-means on the order-M coordinates.
 
-    Takes the skinny SVD of the similarity matrix of order M and clusters
-    the n points given by the columns of Sigma_M V_M.T (one M-dimensional
-    coordinate vector per data point).
+    Clusters the n points given by the columns of Sigma_M V_M.T, the
+    similarity matrix's skinny SVD of order M (one M-dimensional
+    coordinate vector per data point).  The matrix is symmetric, so they
+    come from `np.linalg.eigh`: the singular values are the |lambda|, and
+    the M eigenpairs of largest |lambda| (ties in eigenvalue order) scaled
+    by |lambda| are the SVD's coordinates up to column sign, which k-means
+    does not see.  Values below the shared rank cutoff are dropped, as in
+    `skinny_svd`; an all-zero matrix leaves no coordinate (ValueError).
     """
-    triple = skinny_svd(sim.entries, m_clusters)
-    coords = triple.right * triple.singulars  # n x M
+    entries = sim.entries
+    n = entries.shape[0]
+    if not 1 <= m_clusters <= n:
+        raise ValueError(f"need 1 <= m_clusters <= n, got M={m_clusters}, n={n}")
+    eigvals, eigvecs = np.linalg.eigh(entries)
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    singulars = np.abs(eigvals[order])
+    keep = min(m_clusters, int(np.sum(singulars > _rank_cutoff(singulars, entries.shape))))
+    coords = eigvecs[:, order[:keep]] * singulars[:keep]  # n x M
     return kmeans(coords, m_clusters, seed)
 
 
@@ -193,23 +206,59 @@ def ncut_value(sim: SimilarityMatrix, labels: LabelVector) -> float:
     return total
 
 
+def _max_weight_matching(weights: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square array, of largest total weight.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path form
+    with row and column potentials, O(N^3): row i is added by the
+    cheapest path in reduced cost to a free column.  Integer weights keep
+    every potential an exact integer in float64.
+    """
+    cost = weights.max() - weights.astype(float)
+    size = len(cost)
+    # index 0 is a virtual column; rows and columns are numbered from 1
+    row_pot, col_pot = np.zeros(size + 1), np.zeros(size + 1)
+    row_of = np.zeros(size + 1, dtype=int)
+    back = np.zeros(size + 1, dtype=int)
+    for row in range(1, size + 1):
+        row_of[0] = row
+        col = 0
+        slack = np.full(size + 1, np.inf)
+        done = np.zeros(size + 1, dtype=bool)
+        while row_of[col]:
+            done[col] = True
+            reduced = cost[row_of[col] - 1] - row_pot[row_of[col]] - col_pot[1:]
+            better = ~done[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            back[1:][better] = col
+            free_slack = np.where(done, np.inf, slack)
+            nxt = int(np.argmin(free_slack))
+            delta = free_slack[nxt]
+            row_pot[row_of[done]] += delta
+            col_pot[done] -= delta
+            slack[~done] -= delta
+            col = nxt
+        while col:
+            row_of[col] = row_of[back[col]]
+            col = back[col]
+    col_of = np.empty(size, dtype=int)
+    col_of[row_of[1:] - 1] = np.arange(size)
+    return col_of
+
+
 def clustering_error(predicted: LabelVector, truth: LabelVector) -> float:
     """Minimum-over-relabelings percentage of misassigned points.
 
-    The optimal matching is found by exhaustive search over label
-    permutations, so both label counts must be at most 8.
+    The relabeling is an optimal assignment on the contingency table of
+    the two label vectors, zero-padded to a square, so any number of
+    clusters is allowed.
     """
     if predicted.n != truth.n:
         raise ValueError(
             f"label lengths differ: {predicted.n} vs {truth.n}"
         )
-    n_ids = max(predicted.m_clusters, truth.m_clusters)
-    if n_ids > 8:
-        raise ValueError(f"permutation search supports at most 8 clusters, got {n_ids}")
-    best = predicted.n + 1
-    for perm in permutations(range(n_ids)):
-        mapped = np.asarray(perm)[predicted.labels]
-        best = min(best, int(np.sum(mapped != truth.labels)))
-        if best == 0:
-            break
-    return 100.0 * best / predicted.n
+    size = max(predicted.m_clusters, truth.m_clusters)
+    table = np.bincount(predicted.labels * size + truth.labels,
+                        minlength=size * size).reshape(size, size)
+    matched = int(table[np.arange(size), _max_weight_matching(table)].sum())
+    return 100.0 * (predicted.n - matched) / predicted.n

@@ -80,7 +80,7 @@ def select_uniform(m: int, n: int, s: int, k: int, seed: int) -> IndexSelection:
         raise ValueError(f"cannot select k={k} columns from n={n}")
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=s, replace=False))
-    cols = np.sort(rng.choice(n, size=k, replace=False))
+    cols = np.arange(n) if k == n else np.sort(rng.choice(n, size=k, replace=False))
     return IndexSelection(row_indices=rows, col_indices=cols)
 
 

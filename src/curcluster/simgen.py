@@ -132,14 +132,25 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
 
     `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
     i's upper triangle, in `upper_triangle(n)` order; it is partitioned in
-    place, scrambling it.  The median, taken once per upper-triangle entry,
-    is mirrored into a symmetric matrix.  An even count averages the middle
-    two.
+    place, scrambling it, and its row k // 2 ends up holding the median.
+    The median, taken once per upper-triangle entry, is mirrored into a
+    symmetric matrix.  An even count averages the middle two.  One
+    partition at k // 2 finds it: for an even count the lower middle is
+    then the largest entry of the rows below k // 2.  The stack must be
+    finite, as the trial loop's Gram products are: unlike `np.median`, the
+    partition does not turn a NaN trial into a NaN median.
     """
+    k = stack.shape[0]
+    stack.partition(k // 2, axis=0)
+    mid = stack[k // 2]  # a view: no row of its own at the validation's memory peak
+    if k % 2 == 0:
+        mid += stack[: k // 2].max(axis=0)
+        mid /= 2
+    np.abs(mid, out=mid)
     n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
     upper = upper_triangle(n)
     med = np.empty((n, n))
-    med.flat[upper] = med.T.flat[upper] = np.abs(np.median(stack, axis=0, overwrite_input=True))
+    med.flat[upper] = med.T.flat[upper] = mid
     return SimilarityMatrix(entries=med)
 
 

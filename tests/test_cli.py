@@ -243,6 +243,15 @@ class TestClusterCommand:
         assert main(["cluster", str(data), "--algo", "exact", "--dmax", "5000"]) == 0
         assert "clustering error: 0%" in capsys.readouterr().out
 
+    def test_exact_more_than_eight_components_reports(self, tmp_path, capsys):
+        # noise breaks the exact path's pattern into one component per point
+        data = tmp_path / "noisy.csv"
+        main(["synth", "--case", "2", "--points", "20", "--sigma", "0.05", "--out", str(data)])
+        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "clustering error: 95%" in capsys.readouterr().out  # 3 of 60 points matched
+        assert ",exact,dmax=4,95," in (tmp_path / "o.report.csv").read_text()
+
     def test_selection_failure_exits_four(self, tmp_path):
         # rank hides in single entries; tiny retry budget cannot find them
         m = np.zeros((30, 30))

@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from conftest import union_instance
+from curcluster import ProtoConfig, cluster, random_union_model, sample_instance
 from curcluster.cluster import (
     LabelVector,
     _lloyd,
@@ -14,6 +17,7 @@ from curcluster.cluster import (
     spectral_cluster,
 )
 from curcluster.linalg import pinv
+from curcluster.pipeline import proto_similarity
 from curcluster.simgen import SimilarityMatrix, binarize, similarity_noise_free
 
 
@@ -101,6 +105,70 @@ class TestPccCluster:
         pattern = SimilarityMatrix(entries=binarize(sim.entries))
         result = pcc_cluster(pattern, inst.model.n_subspaces, seed=0)
         assert clustering_error(result, inst.truth) == 0.0
+
+    def test_m_above_n_raises(self):
+        with pytest.raises(ValueError, match="got M=5, n=4"):
+            pcc_cluster(block_similarity([2, 2]), 5, seed=0)
+
+    def test_all_zero_raises(self):
+        with pytest.raises(ValueError):
+            pcc_cluster(SimilarityMatrix(entries=np.zeros((4, 4))), 2, seed=0)
+
+    def test_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("pcc_cluster took an SVD")
+
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        result = pcc_cluster(block_similarity([5, 3]), 2, seed=0)
+        assert clustering_error(result, labels_of([5, 3])) == 0.0
+        assert len(calls) == 1
+
+
+def proto_median(n, seed):
+    """`proto`'s median (diagonal pinned to 1) on n points of three 3-dim subspaces, sigma 0.05."""
+    model = random_union_model(30, [3, 3, 3], seed=seed)
+    w = sample_instance(model, [n // 3] * 3, 0.05, seed=seed + 1).data
+    return proto_similarity(w, ProtoConfig(m_subspaces=3, target_rank=9, n_trials=5, seed=seed))
+
+
+def svd_coordinates(sim, m):
+    """The order-m principal coordinates as the full SVD gives them: rows of V_m Sigma_m."""
+    _, singulars, vt = np.linalg.svd(sim.entries)
+    return vt[:m].T * singulars[:m]
+
+
+def assert_pcc_matches_svd(monkeypatch, sim, m):
+    """The points `pcc_cluster` hands to k-means are the SVD coordinates up to column sign."""
+    seen = []
+    monkeypatch.setattr(cluster, "kmeans", lambda points, m_clusters, seed: seen.append(points))
+    pcc_cluster(sim, m, seed=0)
+    expected = svd_coordinates(sim, m)
+    signs = np.sign(np.sum(seen[0] * expected, axis=0))
+    np.testing.assert_allclose(seen[0] * signs, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+class TestPccMatchesSvd:
+    """The eigh coordinates are the SVD's up to column sign, and give the same labels."""
+
+    def test_coordinates_up_to_sign(self, monkeypatch):
+        assert_pcc_matches_svd(monkeypatch, proto_median(300, seed=80), 3)
+
+    def test_order_is_by_magnitude(self, monkeypatch):
+        # zero diagonal: after the Perron value 59.7 the largest |lambda| are -6.86 and -6.52
+        a = np.random.default_rng(86).random((60, 60))
+        entries = a + a.T
+        np.fill_diagonal(entries, 0.0)
+        assert_pcc_matches_svd(monkeypatch, SimilarityMatrix(entries=entries), 3)
+
+    @pytest.mark.parametrize("seed", range(81, 86))
+    def test_same_labels(self, seed):
+        sim = proto_median(150, seed)
+        expected = kmeans(svd_coordinates(sim, 3), 3, seed=seed)
+        np.testing.assert_array_equal(pcc_cluster(sim, 3, seed=seed).labels, expected.labels)
 
 
 class TestConnectedComponents:
@@ -194,6 +262,32 @@ class TestClusteringError:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             clustering_error(labels_of([2]), labels_of([3]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_permutation_search(self, seed):
+        rng = np.random.default_rng(seed)
+        m_pred, m_truth = (int(m) for m in rng.integers(1, 7, 2))
+        n = int(rng.integers(1, 30))
+        predicted = LabelVector(labels=rng.integers(0, m_pred, n), m_clusters=m_pred)
+        truth = LabelVector(labels=rng.integers(0, m_truth, n), m_clusters=m_truth)
+        size = max(m_pred, m_truth)
+        fewest = min(int(np.sum(np.asarray(perm)[predicted.labels] != truth.labels))
+                     for perm in permutations(range(size)))
+        assert clustering_error(predicted, truth) == 100.0 * fewest / n
+
+    def test_sixty_clusters(self):
+        truth = labels_of([2] * 60)
+        relabeled = np.random.default_rng(0).permutation(60)[truth.labels]
+        assert clustering_error(LabelVector(labels=relabeled, m_clusters=60), truth) == 0.0
+        relabeled[[0, 5]] = relabeled[[2, 7]]  # point 0 joins cluster 1, point 5 cluster 3
+        moved = LabelVector(labels=relabeled, m_clusters=60)
+        assert clustering_error(moved, truth) == 100.0 * 2 / 120
+
+    def test_more_predicted_than_true_clusters(self):
+        # every point alone: one point per true cluster stays matched
+        truth = labels_of([5, 5, 5])
+        singletons = LabelVector(labels=np.arange(15), m_clusters=15)
+        assert clustering_error(singletons, truth) == 100.0 * 12 / 15
 
 
 class TestBackendAgreement:

@@ -40,6 +40,16 @@ class TestSelectUniform:
         freqs = counts / draws
         assert np.all(np.abs(freqs - 0.08) <= 0.01)
 
+    @pytest.mark.parametrize("m, n, s", [(8, 5, 3), (40, 30, 12), (300, 150, 8)])
+    def test_all_columns_same_as_a_draw(self, m, n, s):
+        # every column taken: the draw would be 0..n-1 sorted, and the rows come first
+        for seed in range(5):
+            sel = select_uniform(m, n, s, n, seed)
+            rng = np.random.default_rng(seed)
+            np.testing.assert_array_equal(sel.row_indices,
+                                          np.sort(rng.choice(m, size=s, replace=False)))
+            np.testing.assert_array_equal(sel.col_indices, np.arange(n))
+
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             select_uniform(3, 3, 4, 1, seed=0)

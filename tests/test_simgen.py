@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pack, union_instance
 from curcluster.cur import IndexSelection, cur_factorize
@@ -225,6 +226,63 @@ class TestMedianAggregate:
         mats = np.array([a + a.T for a in rng.standard_normal((8, 5, 5))])
         full = np.abs(np.median(mats, axis=0))
         np.testing.assert_array_equal(median_aggregate(pack(mats)).entries, full)
+
+
+TRIAL_COUNTS = {
+    "k1": st.just(1),
+    "k2": st.just(2),
+    "odd": st.integers(1, 29).map(lambda h: 2 * h + 1),
+    "even": st.integers(2, 30).map(lambda h: 2 * h),
+}
+
+
+@st.composite
+def symmetric_stacks(draw, counts):
+    """k symmetric n x n matrices, n <= 6, at a scale from 1e-300 to 1e300.
+
+    Half of them are rounded to integers first: many ties, and -0.0 wherever a
+    small negative rounds to zero.
+    """
+    k, n = draw(counts), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mats = rng.standard_normal((k, n, n)) * 2.0
+    if draw(st.booleans()):
+        mats = np.round(mats)
+    return (mats + mats.transpose(0, 2, 1)) * 10.0 ** draw(st.integers(-300, 300))
+
+
+class TestMedianMatchesNumpy:
+    """One partition at k // 2 gives np.median's value bit for bit, on a finite stack."""
+
+    @pytest.mark.parametrize("counts", TRIAL_COUNTS.values(), ids=TRIAL_COUNTS.keys())
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, counts, data):
+        mats = data.draw(symmetric_stacks(counts))
+        stack = pack(mats)
+        expected = np.abs(np.median(stack, axis=0))
+        got = median_aggregate(stack).entries[np.triu_indices(mats.shape[1])]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_many_trials(self, rng):
+        # past a few dozen trials numpy's partition no longer leaves the lower middle at k // 2 - 1
+        stack = pack([a + a.T for a in rng.standard_normal((400, 20, 20))])
+        expected = np.abs(np.median(stack, axis=0))
+        got = median_aggregate(stack).entries[np.triu_indices(20)]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8])
+    def test_partitions_the_stack_in_place(self, rng, k):
+        stack = pack([a + a.T for a in rng.standard_normal((k, 5, 5))])
+        column_sorted = np.sort(stack, axis=0)
+        median = median_aggregate(stack).entries[np.triu_indices(5)]
+        # the median is formed in row k // 2; the rows around it hold a partition of the rest
+        np.testing.assert_array_equal(stack[k // 2], median)
+        rest = np.delete(stack, k // 2, axis=0)
+        np.testing.assert_array_equal(np.sort(rest, axis=0),
+                                      np.delete(column_sorted, k // 2, axis=0))
+        assert np.all(stack[: k // 2] <= column_sorted[k // 2])
+        assert np.all(stack[k // 2 + 1:] >= column_sorted[k // 2])
 
 
 class TestEnforceDiagonal:
