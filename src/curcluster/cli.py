@@ -192,6 +192,17 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
     parser.error(f"unknown algorithm {args.algo!r}")
 
 
+def _warn_if_noisy(args, dataset: DatasetFile, labels: LabelVector) -> None:
+    """One stderr line when the exact path's components include single points, as noise makes."""
+    if args.algo != "exact":
+        return
+    singletons = np.count_nonzero(np.bincount(labels.labels) == 1)
+    if singletons:
+        print(f"warning: {dataset.path}: the exact path found {labels.m_clusters} components, "
+              f"{singletons} of them single points; it assumes noise-free data "
+              "(--algo proto or rcur cluster noisy data)", file=sys.stderr)
+
+
 def cmd_synth(parser, args) -> int:
     dims = synth.CASE_DIMS[args.case]
     if args.sweep:
@@ -238,6 +249,7 @@ def cmd_cluster(parser, args) -> int:
     start = time.perf_counter()
     labels, result, params = _run_algorithm(parser, args, dataset)
     seconds = time.perf_counter() - start
+    _warn_if_noisy(args, dataset, labels)
 
     out = Path(args.out) if args.out else Path(args.data)
     save_labels(labels_path(out), labels)
@@ -316,6 +328,7 @@ def cmd_bench(parser, args) -> int:
             if dataset.labels is not None:
                 errors.append(clustering_error(labels, dataset.labels))
         seconds = time.perf_counter() - start
+        _warn_if_noisy(run_args, dataset, labels)
         mean_err = float(np.mean(errors)) if errors else None
         records.append(
             {

@@ -74,6 +74,11 @@ def select_uniform(m: int, n: int, s: int, k: int, seed: int) -> IndexSelection:
 
     Uniform without replacement, deterministic given `seed`.
     """
+    return IndexSelection(*_draw(m, n, s, k, seed))
+
+
+def _draw(m: int, n: int, s: int, k: int, seed: int):
+    """`select_uniform`'s sorted, distinct rows and columns, as arrays, with no IndexSelection."""
     if not 1 <= s <= m:
         raise ValueError(f"cannot select s={s} rows from m={m}")
     if not 1 <= k <= n:
@@ -81,7 +86,7 @@ def select_uniform(m: int, n: int, s: int, k: int, seed: int) -> IndexSelection:
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(m, size=s, replace=False))
     cols = np.arange(n) if k == n else np.sort(rng.choice(n, size=k, replace=False))
-    return IndexSelection(row_indices=rows, col_indices=cols)
+    return rows, cols
 
 
 def _extract(a: np.ndarray, selection: IndexSelection) -> CurFactors:
@@ -117,15 +122,19 @@ def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
 
 
 def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries=MAX_RETRIES):
-    """First selection of validated `a` with rank(U) >= `required`, and U's SVD cut to its rank."""
+    """Rows and columns of the first draw of validated `a` with rank(U) >= `required`, and U's SVD.
+
+    The SVD is cut to rank(U).  Draws come from `_draw`, exactly as `select_uniform` makes them,
+    and are not validated again.
+    """
     m, n = a.shape
     for attempt in range(max_retries):
-        selection = select_uniform(m, n, s, k, seed + attempt)
-        u = a[np.ix_(selection.row_indices, selection.col_indices)]
+        rows, cols = _draw(m, n, s, k, seed + attempt)
+        u = a[np.ix_(rows, cols)]
         left, sing, right = np.linalg.svd(u, full_matrices=False)
         rank = np.count_nonzero(sing > _rank_cutoff(sing, u.shape))
         if rank >= required:
-            return selection, (left[:, :rank], sing[:rank], right[:rank])
+            return rows, cols, (left[:, :rank], sing[:rank], right[:rank])
     raise SelectionFailed(max_retries)
 
 
@@ -149,4 +158,5 @@ def cur_sample(
     a = as_matrix(a)
     rank_a = numerical_rank(a)
     required = _required_rank(rank_a if target_rank is None else target_rank, s, k, rank_a)
-    return _extract(a, _sample(a, s, k, required, seed, max_retries)[0])
+    rows, cols, _ = _sample(a, s, k, required, seed, max_retries)
+    return _extract(a, IndexSelection(row_indices=rows, col_indices=cols))

@@ -112,21 +112,29 @@ def _rcur_factor(r_rows, svd):
 def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, factor):
     """Median of the trials' F.T F, F = factor(R, svd of U), upper triangles packed in one stack.
 
-    Each F.T F is written with `out=` (so exactly symmetric) into one n x n scratch matrix and its
-    upper triangle into the trial's row of the stack, which the median partitions in place.
+    Beside the stack and its packed index, at most two n x n arrays are alive at any time: the
+    factor's own (proto's Y and its scratch |Y| in the threshold), then F and its Gram matrix.
+    `_pack_gram` writes each F.T F with `out=` (so exactly symmetric) into a fresh n x n array
+    and its upper triangle into the trial's row of the stack; F and the Gram matrix die when it
+    returns.  The index goes before the median, which partitions the stack in place.
     """
     required = _required_rank(target_rank, rows, cols, rank_w)
     n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
     stack = np.empty((len(seeds), n * (n + 1) // 2))
     upper = simgen.upper_triangle(n)
-    gram = np.empty((n, n))
     for i, seed in enumerate(seeds):
-        selection, svd = _sample(w, rows, cols, required, seed)
-        f = factor(w[selection.row_indices], svd)
-        np.matmul(f.T, f, out=gram)
-        np.take(gram, upper, out=stack[i])
+        row_indices, _, svd = _sample(w, rows, cols, required, seed)
+        _pack_gram(factor(w[row_indices], svd), upper, stack[i])
+    del upper
     return simgen.median_aggregate(stack)
+
+
+def _pack_gram(f, upper, out):
+    """Write the entries of F.T F at the flat indices `upper` into `out`."""
+    gram = np.empty((f.shape[1], f.shape[1]))  # after the factor: never alive beside its scratch
+    np.matmul(f.T, f, out=gram)
+    np.take(gram, upper, out=out, mode="clip")  # indices in range; "raise" would buffer `out`
 
 
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:

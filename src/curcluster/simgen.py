@@ -27,18 +27,30 @@ from .linalg import BINARIZE_TOL, as_matrix, matrix_power, pinv, skinny_svd
 KINDS = ("binary", "absolute")
 
 
+#: rows per block of the symmetry check; bounds its temporaries to ~2 blocks
+SYMMETRY_BLOCK = 128
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric nonnegative n x n matrix."""
+    """Symmetric nonnegative n x n matrix.
+
+    Symmetry is `np.allclose(entries, entries.T, atol=1e-12)`, checked one
+    block of `SYMMETRY_BLOCK` rows at a time, so that the check's temporaries
+    stay a small fraction of one n x n array.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
         entries = as_matrix(self.entries)
-        if entries.shape[0] != entries.shape[1]:
+        n = entries.shape[0]
+        if n != entries.shape[1]:
             raise ValueError(f"similarity matrix must be square, got {entries.shape}")
-        if not np.allclose(entries, entries.T, atol=1e-12):
-            raise ValueError("similarity matrix must be symmetric")
+        for i in range(0, n, SYMMETRY_BLOCK):
+            j = i + SYMMETRY_BLOCK
+            if not np.allclose(entries[i:j], entries[:, i:j].T, atol=1e-12):
+                raise ValueError("similarity matrix must be symmetric")
         if np.any(entries < 0):
             raise ValueError("similarity matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
@@ -103,23 +115,28 @@ def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
 
 
 def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
-    """Keep the ceil((1 - 1/M) * k * n) largest-magnitude entries, zero the rest.
+    """Keep the ceil((1 - 1/M) * k * n) largest-magnitude entries of `y`, zero the rest, in place.
 
-    One partition finds the cut value; every entry above it is kept, then
-    the entries equal to it in row-major order until the count is reached,
-    so ties at the cut are broken by earliest row-major position.  M = 1 is
-    degenerate (the formula would keep nothing) and returns the input
-    unchanged.
+    Returns the same array.  One in-place partition of a scratch |y| finds
+    the cut value; |y| is then written back over the scratch, every entry
+    above the cut is kept, then the entries equal to it in row-major order
+    until the count is reached, so ties at the cut are broken by earliest
+    row-major position.  Dropped entries become +0.0.  M = 1 is degenerate
+    (the formula would keep nothing) and returns `y` unchanged.
     """
     if m_subspaces == 1:
-        return y.copy()
+        return y
     keep = math.ceil((1.0 - 1.0 / m_subspaces) * y.size)
     mag = np.abs(y)
-    cut = np.partition(mag, y.size - keep, axis=None)[y.size - keep]
+    flat = mag.ravel("K")  # a view, in whatever layout np.abs chose: no flattened copy
+    flat.partition(y.size - keep)
+    cut = flat[y.size - keep]
+    np.abs(y, out=mag)
     mask = mag > cut
     ties = np.flatnonzero(mag == cut)
     mask.flat[ties[: keep - np.count_nonzero(mask)]] = True
-    return np.where(mask, y, 0.0)
+    y[~mask] = 0.0
+    return y
 
 
 def upper_triangle(n: int) -> np.ndarray:

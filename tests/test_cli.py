@@ -252,6 +252,25 @@ class TestClusterCommand:
         assert "clustering error: 95%" in capsys.readouterr().out  # 3 of 60 points matched
         assert ",exact,dmax=4,95," in (tmp_path / "o.report.csv").read_text()
 
+    def test_exact_on_noisy_data_warns(self, tmp_path, capsys):
+        data = tmp_path / "noisy.csv"
+        main(["synth", "--case", "2", "--points", "20", "--sigma", "0.05", "--out", str(data)])
+        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "60 components, 60 of them single points" in err[0]
+        assert "assumes noise-free data" in err[0]
+
+    def test_exact_on_noise_free_data_is_silent(self, tmp_path, capsys):
+        data = tmp_path / "clean.csv"  # 300 x 300, as the exact path's benchmark input
+        main(["synth", "--case", "2", "--points", "100", "--sigma", "0", "--out", str(data)])
+        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert "clustering error: 0%" in captured.out
+        assert captured.err == ""
+
     def test_selection_failure_exits_four(self, tmp_path):
         # rank hides in single entries; tiny retry budget cannot find them
         m = np.zeros((30, 30))
@@ -287,6 +306,18 @@ class TestBenchCommand:
         assert "traffic (1): mean 0%" in out
         lines = report.read_text().splitlines()
         assert len(lines) == 4  # header + three datasets
+
+    def test_exact_on_noisy_data_warns_once_per_dataset(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        for name, sigma in (("clean", "0"), ("noisy", "0.05")):
+            main(["synth", "--case", "2", "--points", "20", "--sigma", sigma,
+                  "--out", str(bench / f"{name}.csv")])
+        assert main(["bench", "--dir", str(bench), "--out", str(tmp_path / "r.csv"),
+                     "--algo", "exact", "--dmax", "4", "--repeats", "3"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "noisy.csv" in err[0] and "60 of them single points" in err[0]
 
     def test_empty_directory_exits_three(self, tmp_path):
         empty = tmp_path / "empty"

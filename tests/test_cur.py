@@ -166,9 +166,9 @@ class TestSampler:
             u = a[np.ix_(expected.row_indices, expected.col_indices)]
             if numerical_rank(u) >= required:
                 break
-        selection, _ = _sample(a, 12, 12, required, seed, max_retries=100)
+        rows, cols, _ = _sample(a, 12, 12, required, seed, max_retries=100)
         factors = cur_sample(a, 12, 12, seed=seed, target_rank=3)
-        for got in (selection, factors.selection):
+        for got in (IndexSelection(rows, cols), factors.selection):
             np.testing.assert_array_equal(got.row_indices, expected.row_indices)
             np.testing.assert_array_equal(got.col_indices, expected.col_indices)
 
@@ -176,19 +176,19 @@ class TestSampler:
     def test_y_is_coefficient_matrix(self, rng, s, k):
         a = planted(rng, 20, 20, 4) + 1e-3 * rng.standard_normal((20, 20))
         factors = cur_sample(a, s, k, seed=3, target_rank=4)
-        selection, svd = _sample(a, s, k, _required_rank(4, s, k, numerical_rank(a)), 3, 100)
-        y = _pinv_from_svd(*svd) @ a[selection.row_indices]
+        rows, _, svd = _sample(a, s, k, _required_rank(4, s, k, numerical_rank(a)), 3, 100)
+        y = _pinv_from_svd(*svd) @ a[rows]
         np.testing.assert_array_equal(y, coefficient_matrix(factors))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_svd_is_cut_to_rank_of_u(self, rng, seed):
         a = hidden_rank(rng)  # every accepted 12 x 12 U has rank 3
-        selection, svd = _sample(a, 12, 12, _required_rank(3, 12, 12, 3), seed, 100)
-        u = a[np.ix_(selection.row_indices, selection.col_indices)]
+        rows, cols, svd = _sample(a, 12, 12, _required_rank(3, 12, 12, 3), seed, 100)
+        u = a[np.ix_(rows, cols)]
         assert [part.shape for part in svd] == [(12, 3), (3,), (3, 12)]
         assert len(svd[1]) == numerical_rank(u)
         factors = cur_sample(a, 12, 12, seed=seed, target_rank=3)
-        y = _pinv_from_svd(*svd) @ a[selection.row_indices]
+        y = _pinv_from_svd(*svd) @ a[rows]
         np.testing.assert_array_equal(y, coefficient_matrix(factors))
 
 

@@ -221,9 +221,9 @@ class TestRcurCluster:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count np.linalg.svd and select_uniform calls made while the test runs."""
+    """Count np.linalg.svd calls and row/column draws (`select_uniform`'s and `_sample`'s)."""
     calls = {"svd": 0, "select": 0}
-    svd, select = np.linalg.svd, cur.select_uniform
+    svd, select = np.linalg.svd, cur._draw
 
     def counting_svd(*args, **kwargs):
         calls["svd"] += 1
@@ -234,7 +234,7 @@ def counted(monkeypatch):
         return select(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(cur, "select_uniform", counting_select)
+    monkeypatch.setattr(cur, "_draw", counting_select)
     return calls
 
 
@@ -341,6 +341,20 @@ class TestTrialLoopOwnsStack:
             tracemalloc.stop()
         assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stacks"
 
+    def test_proto_holds_two_matrices_beside_the_stack(self):
+        # the stack, its index, Y and the threshold's scratch |Y|, masks: 2.75 n x n past the stack
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
+        n = w.shape[1]
+        tracemalloc.start()
+        try:
+            proto_similarity(w, ProtoConfig(3, 12, n_trials=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = (peak - 25 * n * (n + 1) // 2 * 8) / (n * n * 8)
+        assert matrices < 3.5, f"{matrices:.2f} n x n arrays beside the stack"
+
 
 class TestPackedStack:
     """The trial loop keeps only upper triangles, so one call peaks below one full stack."""
@@ -373,8 +387,8 @@ class TestPinOnce:
         required = cur._required_rank(cfg.target_rank, cfg.rows(), n, numerical_rank(w))
         trials = []
         for seed in range(cfg.seed, cfg.seed + n_trials):
-            selection, svd = cur._sample(w, cfg.rows(), n, required, seed)
-            y = proto_factor(3)(w[selection.row_indices], svd)
+            rows, _, svd = cur._sample(w, cfg.rows(), n, required, seed)
+            y = proto_factor(3)(w[rows], svd)
             trials.append(simgen.enforce_diagonal(y.T @ y))
         med = np.abs(np.median(np.array(trials), axis=0))
 
@@ -397,8 +411,8 @@ def full_stack_median(w, rows, target_rank, seeds, factor):
     required = cur._required_rank(target_rank, rows, n, numerical_rank(w))
     stack = np.empty((len(seeds), n, n))
     for i, seed in enumerate(seeds):
-        selection, svd = cur._sample(w, rows, n, required, seed)
-        y = factor(w[selection.row_indices], svd)
+        row_indices, _, svd = cur._sample(w, rows, n, required, seed)
+        y = factor(w[row_indices], svd)
         np.matmul(y.T, y, out=stack[i])
     med = np.abs(np.median(stack, axis=0))
     return 0.5 * (med + med.T)
@@ -569,8 +583,8 @@ class TestRcurFactor:
         w, r, seed = instance
         n = w.shape[1]
         required = cur._required_rank(r, r, n, numerical_rank(w))
-        selection, svd = cur._sample(w, r, n, required, seed)
-        rows = w[selection.row_indices]
+        row_indices, _, svd = cur._sample(w, r, n, required, seed)
+        rows = w[row_indices]
         y = normalize_columns(pinv(rows) @ rows)
         f = pipeline._rcur_factor(rows, svd)
         assert not f[:, 0].any()  # the zero point keeps an exactly zero column, as in Y

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import pack, union_instance
 from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
+    SYMMETRY_BLOCK,
     SimilarityMatrix,
     coefficient_matrix,
     elementwise_power,
@@ -139,7 +141,7 @@ class TestSimilarityNoiseFree:
 class TestThresholdVolumetric:
     def test_single_subspace_unchanged(self, rng):
         y = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(threshold_volumetric(y, 1), y)
+        np.testing.assert_array_equal(threshold_volumetric(y.copy(), 1), y)
 
     def test_two_by_two_keeps_top_half(self):
         y = np.array([[4.0, -3.0], [2.0, 1.0]])
@@ -149,12 +151,20 @@ class TestThresholdVolumetric:
 
     def test_sparse_fixed_point(self):
         y = np.array([[5.0, 0.0], [0.0, 3.0]])  # already half-sparse
-        np.testing.assert_array_equal(threshold_volumetric(y, 2), y)
+        np.testing.assert_array_equal(threshold_volumetric(y.copy(), 2), y)
 
     def test_tie_break_row_major(self):
         y = np.array([[1.0, 1.0], [1.0, 1.0]])
         out = threshold_volumetric(y, 2)
         np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_in_place(self, rng, m):
+        y = rng.standard_normal((12, 40))
+        expected = stable_sort_threshold(y, m)
+        out = threshold_volumetric(y, m)
+        assert out is y
+        np.testing.assert_array_equal(y, expected)
 
 
 def stable_sort_threshold(y, m_subspaces):
@@ -176,7 +186,7 @@ class TestThresholdMatchesStableSort:
 
     @staticmethod
     def check(y, m):
-        out, ref = threshold_volumetric(y, m), stable_sort_threshold(y, m)
+        out, ref = threshold_volumetric(y.copy(), m), stable_sort_threshold(y, m)
         assert out.shape == ref.shape
         np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
@@ -199,6 +209,53 @@ class TestThresholdMatchesStableSort:
                              ids=["all-equal", "all-zero", "one-by-one"])
     def test_degenerate(self, y, m):
         self.check(y, m)
+
+
+@st.composite
+def near_symmetric(draw):
+    """Symmetric positive n x n matrix with one entry moved by about the check's tolerance.
+
+    The entry sits on a block edge, in the last partial block or anywhere; it moves by a
+    multiple of atol + rtol * |mirror|, the bound np.allclose applies to it.
+    """
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    a = rng.random((n, n))
+    e = (1.0 + a + a.T) * 10.0 ** draw(st.sampled_from([-14, -9, 0, 6]))
+    edges = sorted({b + d for b in range(0, n + 1, SYMMETRY_BLOCK) for d in (-1, 0)} & set(range(n)))
+    index = st.one_of(st.sampled_from(edges), st.integers(max(0, n - 20), n - 1),
+                      st.integers(0, n - 1))
+    i, j = draw(index), draw(index)
+    step = (1e-12 + 1e-5 * abs(e[j, i])) * draw(st.sampled_from([0.5, 0.999999, 1.0, 1.000001, 2.0]))
+    down = draw(st.booleans()) and e[i, j] >= step  # entries stay nonnegative
+    e[i, j] += -step if down else step
+    return e
+
+
+class TestSymmetryCheck:
+    """The blocked check accepts and rejects exactly where np.allclose(e, e.T, atol=1e-12) does."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(near_symmetric())
+    def test_matches_allclose(self, e):
+        if np.allclose(e, e.T, atol=1e-12):
+            assert SimilarityMatrix(entries=e).entries is e
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                SimilarityMatrix(entries=e)
+
+    def test_peak_below_half_a_matrix(self, rng):
+        n = 1200
+        a = rng.random((n, n))
+        e = a + a.T
+        del a
+        tracemalloc.start()
+        try:
+            SimilarityMatrix(entries=e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * e.nbytes, f"peak {peak / e.nbytes:.2f} n x n arrays"
 
 
 class TestMedianAggregate:
