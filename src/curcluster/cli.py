@@ -320,7 +320,8 @@ def cmd_bench(parser, args) -> int:
         errors = []
         r_best = ""
         start = time.perf_counter()
-        for repeat in range(args.repeats):
+        # the exact path takes no seed: one run gives every repeat's labels
+        for repeat in range(1 if args.algo == "exact" else args.repeats):
             run_args.seed = args.seed + repeat
             labels, result, params = _run_algorithm(parser, run_args, dataset)
             if isinstance(result, pipeline.RcurResult):
@@ -407,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--manifest", help="per-line `filename,category,M` file")
     p_bench.add_argument("--out", required=True, help="report CSV path")
-    p_bench.add_argument("--repeats", type=count, default=1)
+    p_bench.add_argument("--repeats", type=count, default=1,
+                         help="runs per dataset at seeds seed, seed+1, ... (exact: one run)")
     _add_cluster_flags(p_bench)
 
     return parser

@@ -135,13 +135,17 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     mask = mag > cut
     ties = np.flatnonzero(mag == cut)
     mask.flat[ties[: keep - np.count_nonzero(mask)]] = True
-    y[~mask] = 0.0
+    np.multiply(y, mask, out=y)  # a dropped negative entry becomes -0.0 here
+    y += 0.0  # and +0.0 here: under round-to-nearest, -0.0 + 0.0 is +0.0
     return y
 
 
 def upper_triangle(n: int) -> np.ndarray:
-    """Row-major flat indices of an n x n matrix's upper triangle: the packed stack's columns."""
-    return np.ravel_multi_index(np.triu_indices(n), (n, n))
+    """Row-major flat indices of an n x n matrix's upper triangle: the packed stack's columns.
+
+    Taken from an n x n boolean mask, so the only int64 array is the result.
+    """
+    return np.flatnonzero(~np.tri(n, k=-1, dtype=bool))
 
 
 def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
@@ -151,7 +155,8 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     i's upper triangle, in `upper_triangle(n)` order; it is partitioned in
     place, scrambling it, and its row k // 2 ends up holding the median.
     The median, taken once per upper-triangle entry, is mirrored into a
-    symmetric matrix.  An even count averages the middle two.  One
+    symmetric matrix one row of the triangle at a time, which needs no
+    flat index.  An even count averages the middle two.  One
     partition at k // 2 finds it: for an even count the lower middle is
     then the largest entry of the rows below k // 2.  The stack must be
     finite, as the trial loop's Gram products are: unlike `np.median`, the
@@ -165,9 +170,11 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
         mid /= 2
     np.abs(mid, out=mid)
     n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
-    upper = upper_triangle(n)
     med = np.empty((n, n))
-    med.flat[upper] = med.T.flat[upper] = mid
+    start = 0
+    for i in range(n):  # row i of the upper triangle is mid's next n - i entries
+        med[i, i:] = med[i:, i] = mid[start : start + n - i]
+        start += n - i
     return SimilarityMatrix(entries=med)
 
 

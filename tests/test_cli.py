@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,24 @@ class TestBenchCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "noisy.csv" in err[0] and "60 of them single points" in err[0]
+
+    def test_exact_runs_once_for_any_repeats(self, tmp_path, monkeypatch):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        main(["synth", "--case", "2", "--points", "20", "--sigma", "0.05",
+              "--out", str(bench / "noisy.csv")])
+        calls = []
+        cluster_noise_free = pipeline.cluster_noise_free
+        monkeypatch.setattr(pipeline, "cluster_noise_free",
+                            lambda *args: calls.append(1) or cluster_noise_free(*args))
+        errors = []
+        for repeats in ("1", "3"):
+            report = tmp_path / f"r{repeats}.csv"
+            assert main(["bench", "--dir", str(bench), "--out", str(report), "--algo", "exact",
+                         "--dmax", "4", "--repeats", repeats]) == 0
+            errors.append(next(csv.DictReader(report.open()))["error_pct"])
+        assert len(calls) == 2
+        assert errors[0] == errors[1] != "0"
 
     def test_empty_directory_exits_three(self, tmp_path):
         empty = tmp_path / "empty"

@@ -127,11 +127,12 @@ class TestPccCluster:
         assert len(calls) == 1
 
 
-def proto_median(n, seed):
+def proto_median(n, seed, n_trials=5):
     """`proto`'s median (diagonal pinned to 1) on n points of three 3-dim subspaces, sigma 0.05."""
     model = random_union_model(30, [3, 3, 3], seed=seed)
     w = sample_instance(model, [n // 3] * 3, 0.05, seed=seed + 1).data
-    return proto_similarity(w, ProtoConfig(m_subspaces=3, target_rank=9, n_trials=5, seed=seed))
+    return proto_similarity(w, ProtoConfig(m_subspaces=3, target_rank=9, n_trials=n_trials,
+                                           seed=seed))
 
 
 def svd_coordinates(sim, m):
@@ -169,6 +170,63 @@ class TestPccMatchesSvd:
         sim = proto_median(150, seed)
         expected = kmeans(svd_coordinates(sim, 3), 3, seed=seed)
         np.testing.assert_array_equal(pcc_cluster(sim, 3, seed=seed).labels, expected.labels)
+
+
+def pcc_points(monkeypatch, sim, m):
+    """The points `pcc_cluster` hands to k-means, and the orders of the `eigh`s it takes."""
+    points, orders = [], []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: orders.append(len(a)) or eigh(a))
+    monkeypatch.setattr(cluster, "kmeans", lambda pts, m_clusters, seed: points.append(pts))
+    pcc_cluster(sim, m, seed=0)
+    return points[0], orders
+
+
+@pytest.fixture(scope="module")
+def median_600():
+    return proto_median(600, seed=88, n_trials=25)
+
+
+class TestPccSubspaceIteration:
+    """From order `_SUBSPACE_MIN_N` on, the coordinates come from the shifted subspace iteration."""
+
+    def test_coordinates_up_to_sign(self, monkeypatch, median_600):
+        assert_pcc_matches_svd(monkeypatch, median_600, 3)
+
+    def test_takes_no_full_eigh(self, monkeypatch, median_600):
+        _, orders = pcc_points(monkeypatch, median_600, 3)
+        assert orders and max(orders) == 3 + cluster._SUBSPACE_OVERSAMPLE
+
+    def test_same_labels_as_eigh(self, monkeypatch, median_600):
+        labels = pcc_cluster(median_600, 3, seed=88).labels
+        monkeypatch.setattr(cluster, "_SUBSPACE_MIN_N", 601)  # the full eigh path
+        np.testing.assert_array_equal(labels, pcc_cluster(median_600, 3, seed=88).labels)
+
+    def test_deterministic(self, monkeypatch, median_600):
+        first, _ = pcc_points(monkeypatch, median_600, 3)
+        second, _ = pcc_points(monkeypatch, median_600, 3)
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_order_is_by_magnitude(self, monkeypatch, certified):
+        # zero diagonal, so no shift; nonnegative, so the Perron value leads
+        rng = np.random.default_rng(87)
+        if certified:  # a weighted three-part graph: 183.1, -154.6, -28.8, then |lambda| <= 7.1
+            groups = np.repeat([0, 1, 2], [150, 150, 100])
+            weights = np.array([[0, 1, 0.6], [1, 0, 0.3], [0.6, 0.3, 0]])
+            a = weights[groups][:, groups] * (0.5 + rng.random((400, 400)))
+        else:  # uniform: 199.3, then -11.98, -11.59, -11.37, ... too close to certify
+            a = rng.random((400, 400))
+        entries = np.triu(a, 1) + np.triu(a, 1).T
+        sim = SimilarityMatrix(entries=entries)
+        _, orders = pcc_points(monkeypatch, sim, 3)
+        assert (max(orders) == 400) is not certified
+        assert_pcc_matches_svd(monkeypatch, sim, 3)
+
+    def test_all_zero_raises(self):
+        n = cluster._SUBSPACE_MIN_N
+        with pytest.raises(ValueError):
+            pcc_cluster(SimilarityMatrix(entries=np.zeros((n, n))), 2, seed=0)
 
 
 class TestConnectedComponents:

@@ -158,6 +158,13 @@ class TestThresholdVolumetric:
         out = threshold_volumetric(y, 2)
         np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
 
+    def test_dropped_entries_are_positive_zero(self, rng):
+        y = -np.abs(rng.standard_normal((30, 40)))  # every entry negative
+        out = threshold_volumetric(y, 3)
+        dropped = out == 0.0
+        assert np.count_nonzero(dropped) == y.size - math.ceil((1 - 1 / 3) * y.size)
+        assert not np.signbit(out[dropped]).any()
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_in_place(self, rng, m):
         y = rng.standard_normal((12, 40))
