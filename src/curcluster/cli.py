@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--manifest", help="per-line `filename,category,M` file")
     p_bench.add_argument("--out", required=True, help="report CSV path")
     p_bench.add_argument("--repeats", type=count, default=1,
-                         help="runs per dataset at seeds seed, seed+1, ... (exact: one run)")
+                         help="runs per dataset at seeds seed, seed+1, ... (exact: one "
+                              "run); the report's seconds cover the runs made")
     _add_cluster_flags(p_bench)
 
     return parser

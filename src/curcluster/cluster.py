@@ -24,16 +24,20 @@ _DEGREE_FLOOR = 1e-12
 
 #: order from which `pcc_cluster` tries the subspace iteration before a full
 #: `eigh`.  On `proto` medians (25 trials, sigma 0 to 0.1, M = 3, one BLAS
-#: thread of a 2-vCPU host) a certified iteration took 5-6.5 ms where `eigh`
-#: took 11-13 ms at n = 300; at n = 200 it saved under 2 ms and half the
-#: medians fell back, and at n = 150 its cap of 18 steps is below the 22-31
-#: that a certificate needs.  At n = 1200 it took 0.08-0.15 s for 0.47 s.
+#: thread of a 2-vCPU host) iteration, certificate and any fallback took a
+#: median 9.7 ms where `eigh` took 12.9 ms at n = 300 (9 of 12 certified;
+#: sigma 0.1 ran out of steps); at n = 210 half the medians fell back, costing more
+#: than `eigh` alone, and at n = 150 its cap of 18 steps is below the 22-31
+#: that convergence needs.  At n = 1200 it took 0.17-0.18 s for 0.5 s.
 _SUBSPACE_MIN_N = 300
 _SUBSPACE_OVERSAMPLE = 5
 #: an accepted Ritz pair's residual bound, relative to the largest |Ritz value|;
 #: the round-off floor is about 1.5e-15 at n = 1200
 _SUBSPACE_TOL = 1e-14
 _SUBSPACE_SEED = 0
+#: steps over which the largest residual must halve; slower (over 0.84 a
+#: step) it would not reach `_SUBSPACE_TOL` within the cap at n = 1200
+_SUBSPACE_STALL = 4
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,49 @@ def spectral_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> Label
     return kmeans(embedding, m_clusters, seed)
 
 
+def _certified(a: np.ndarray, theta: np.ndarray, vectors: np.ndarray,
+               products: np.ndarray) -> bool:
+    """Whether the Ritz pairs (theta, Q = `vectors`) are surely the m of largest |lambda| of `a`.
+
+    `products` is a Q.  In the basis [Q, Q_perp], `a` is diag(theta, K),
+    K its restriction to Q's complement, plus a perturbation of norm at
+    most r = 2 ||a Q - Q diag(theta)||_F.  By Weyl's inequality each
+    eigenvalue of `a` then lies within r of its partner in theta and
+    spec(K), so if spec(K) lies in (-t, t), t = |theta_m| - 2r, the m
+    eigenvalues paired with theta are the m of largest |lambda|.  Each end
+    of that interval is proved by the Laguerre-Samuelson inequality (the
+    n - m eigenvalues of K lie within sqrt(n - m - 1) standard deviations
+    of their mean, both read off the trace and Frobenius norm of P a P,
+    P = I - Q Q.T) or, where that is too weak, by a Cholesky factorization
+    of t I - P a P or t I + P a P (on Q both are t I).  t is lowered by
+    4 n^2 eps ||a||_F, more than the round-off in forming and factoring
+    them (Rump, BIT 2006), and the variance raised by 2 n^2 eps times the
+    mean square, more than the round-off in summing it.
+    """
+    n, rest = len(a), max(len(a) - len(theta), 1)
+    round_off = n * n * np.finfo(float).eps
+    bound = (abs(theta[-1]) - 4 * np.linalg.norm(products - vectors * theta)
+             - 4 * round_off * np.linalg.norm(a))
+    if not bound > 0:
+        return False
+    half = products - 0.5 * vectors @ (vectors.T @ products)
+    shifted = np.hstack([vectors, half]) @ np.hstack([half, vectors]).T
+    shifted -= a  # Q half.T + half Q.T - a = -P a P
+    mean, mean_square = -np.trace(shifted) / rest, np.vdot(shifted, shifted) / rest
+    spread = np.sqrt((rest - 1) * max(mean_square * (1 + 2 * round_off) - mean * mean, 0.0))
+    shifted.flat[:: n + 1] += bound  # t I - P a P
+    try:
+        if mean + spread >= bound:
+            np.linalg.cholesky(shifted)
+        if mean - spread <= -bound:
+            np.negative(shifted, out=shifted)
+            shifted.flat[:: n + 1] += 2 * bound  # t I + P a P
+            np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _leading_eigenpairs(a: np.ndarray, m: int):
     """The m eigenpairs of largest |lambda| of symmetric `a` by block subspace iteration.
 
@@ -157,27 +204,31 @@ def _leading_eigenpairs(a: np.ndarray, m: int):
     eigenvalues near 1 to near 0, so the leading ones separate faster
     (rate 0.15 / 0.37 in place of 1.15 / 1.37 at n = 1200).  Each step
     takes one product Y = a X, a Rayleigh-Ritz step on `a` from X.T Y,
-    and X = qr(Y - s X).  The leading m Ritz pairs, ordered by |theta|
-    (ties in eigenvalue order), are accepted when every residual is at
-    most `_SUBSPACE_TOL` * max |theta| and |theta_m| > |s| + min_j
-    |theta_j - s|, so that no eigenvalue the shifted iteration leaves out
-    of the block can be larger in magnitude.  Returns (theta, vectors),
-    or None after n // block steps, about the cost of one `eigh`.
+    and X = qr(Y - s X).  Once every residual of the leading m Ritz pairs,
+    ordered by |theta| (ties in eigenvalue order), is at most
+    `_SUBSPACE_TOL` * max |theta|, returns them as (theta, vectors) if
+    `_certified` shows that no eigenvalue left out is as large, else None.
+    Gives up (None) after n // block steps, about the cost of one `eigh`,
+    and sooner once the largest residual fails to halve over
+    `_SUBSPACE_STALL` steps, a rate at which that cap mostly runs out first.
     """
     n = a.shape[0]
     block = min(m + _SUBSPACE_OVERSAMPLE, n)
     shift = np.trace(a) / n
     x = np.linalg.qr(np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, block)))[0]
-    for _ in range(n // block):
+    history = []
+    for step in range(n // block):
         y = a @ x
         theta, rotation = np.linalg.eigh(x.T @ y)
-        order = np.argsort(-np.abs(theta), kind="stable")
-        theta, rotation = theta[order], rotation[:, order[:m]]
-        vectors = x @ rotation
-        residuals = np.linalg.norm(y @ rotation - vectors * theta[:m], axis=0)
-        if (residuals.max() <= _SUBSPACE_TOL * abs(theta[0])
-                and abs(theta[m - 1]) > abs(shift) + np.abs(theta - shift).min()):
-            return theta[:m], vectors
+        order = np.argsort(-np.abs(theta), kind="stable")[:m]
+        theta, rotation = theta[order], rotation[:, order]
+        vectors, products = x @ rotation, y @ rotation
+        residual = np.linalg.norm(products - vectors * theta, axis=0).max()
+        if residual <= _SUBSPACE_TOL * abs(theta[0]):
+            return (theta, vectors) if _certified(a, theta, vectors, products) else None
+        history.append(residual)
+        if step >= _SUBSPACE_STALL and residual > 0.5 * history[step - _SUBSPACE_STALL]:
+            return None
         x = np.linalg.qr(y - shift * x)[0]
     return None
 
@@ -193,8 +244,9 @@ def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVecto
     coordinates up to column sign, which k-means does not see.  From
     order `_SUBSPACE_MIN_N` on they come from a shifted block subspace
     iteration (`_leading_eigenpairs`) that accepts them only when their
-    residuals are at round-off level and no eigenvalue left out can be
-    larger; otherwise, and for smaller n, from a full `np.linalg.eigh`.
+    residuals are at round-off level and two Cholesky factorizations
+    certify that no eigenvalue left out is as large in magnitude;
+    otherwise, and for smaller n, from a full `np.linalg.eigh`.
     Values below the shared rank cutoff are dropped, as in `skinny_svd`;
     an all-zero matrix leaves no coordinate (ValueError).
     """

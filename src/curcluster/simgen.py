@@ -121,8 +121,11 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     the cut value; |y| is then written back over the scratch, every entry
     above the cut is kept, then the entries equal to it in row-major order
     until the count is reached, so ties at the cut are broken by earliest
-    row-major position.  Dropped entries become +0.0.  M = 1 is degenerate
-    (the formula would keep nothing) and returns `y` unchanged.
+    row-major position.  Dropped entries become +0.0: they are zeroed by a
+    multiply with the keep mask, three times faster than a masked store,
+    so `y` must be finite, as the trial loop's coefficient matrices are (a
+    dropped inf would become NaN).  M = 1 is degenerate (the formula would
+    keep nothing) and returns `y` unchanged.
     """
     if m_subspaces == 1:
         return y
@@ -135,8 +138,8 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     mask = mag > cut
     ties = np.flatnonzero(mag == cut)
     mask.flat[ties[: keep - np.count_nonzero(mask)]] = True
-    np.multiply(y, mask, out=y)  # a dropped negative entry becomes -0.0 here
-    y += 0.0  # and +0.0 here: under round-to-nearest, -0.0 + 0.0 is +0.0
+    np.multiply(y, mask, out=y)
+    y += 0.0  # a dropped negative entry is -0.0 after the multiply; -0.0 + 0.0 is +0.0
     return y
 
 

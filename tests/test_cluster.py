@@ -223,6 +223,32 @@ class TestPccSubspaceIteration:
         assert (max(orders) == 400) is not certified
         assert_pcc_matches_svd(monkeypatch, sim, 3)
 
+    def test_large_diagonal_falls_back(self, monkeypatch):
+        # 10 I plus a weighted three-part graph: 65.9, a bulk from 10.9 down, and -10.6
+        # twice; the iteration on S - 10 I converges to 65.9 and the -10.6 pair
+        rng = np.random.default_rng(89)
+        groups = np.repeat([0, 1, 2], 100)
+        a = 0.1 * rng.random((300, 300)) + 0.205 * (groups[:, None] != groups)
+        sim = SimilarityMatrix(entries=np.triu(a, 1) + np.triu(a, 1).T + 10 * np.eye(300))
+        _, orders = pcc_points(monkeypatch, sim, 3)
+        assert max(orders) == 300
+        assert_pcc_matches_svd(monkeypatch, sim, 3)
+
+    @pytest.mark.parametrize("left_out, certified",
+                             [(4.5, False), (-4.5, False), (2.5, True), (-2.5, True)])
+    def test_certificate_sees_both_signs(self, left_out, certified):
+        values = np.array([5.0, 4.0, -3.0, left_out, 1.0, -1.0, 0.5, 0.0])
+        q = np.linalg.qr(np.random.default_rng(90).standard_normal((8, 8)))[0]
+        a = (q * values) @ q.T
+        assert cluster._certified(a, values[:3], q[:, :3], a @ q[:, :3]) is certified
+
+    def test_gives_up_when_stalled(self, monkeypatch):
+        # uniform: 199.3, then -11.98, -11.59, -11.37, ...: the residual shrinks about 7% a step
+        a = np.triu(np.random.default_rng(87).random((400, 400)), 1)
+        _, orders = pcc_points(monkeypatch, SimilarityMatrix(entries=a + a.T), 3)
+        block = 3 + cluster._SUBSPACE_OVERSAMPLE
+        assert orders[-1] == 400 and orders.count(block) < 400 // block
+
     def test_all_zero_raises(self):
         n = cluster._SUBSPACE_MIN_N
         with pytest.raises(ValueError):
