@@ -50,9 +50,10 @@ class DatasetFile:
     labels: LabelVector | None = None
 
 
-def labels_path(path) -> Path:
+def labels_path(path, suffix=".labels") -> Path:
+    """`<name><suffix>` beside a `<name>.csv`; any other path gets `suffix` appended."""
     path = Path(path)
-    return path.with_suffix(".labels") if path.suffix == ".csv" else Path(str(path) + ".labels")
+    return path.with_suffix(suffix) if path.suffix == ".csv" else Path(str(path) + suffix)
 
 
 def load_csv(path) -> DatasetFile:
@@ -147,12 +148,10 @@ def _require(parser, args, names) -> None:
 
 
 def _run_algorithm(parser, args, dataset: DatasetFile):
-    """Run the selected pipeline; returns (labels, r_best or None, params str)."""
+    """Run the selected pipeline; returns (labels, the RcurResult or None, params str)."""
     w = dataset.matrix
     if args.algo == "exact":
-        _require(parser, args, ["--dmax"])
-        labels = pipeline.cluster_noise_free(w, args.dmax)
-        return labels, None, f"dmax={args.dmax}"
+        return pipeline.cluster_noise_free(w), None, ""
     if args.algo == "proto":
         _require(parser, args, ["--M", "--rank"])
         cfg = _config(
@@ -232,6 +231,8 @@ def cmd_synth(parser, args) -> int:
         print(f"wrote sweep over {len(records)} noise levels to {args.out}")
         return EXIT_OK
 
+    if len(args.sigmas or ()) > 1:
+        parser.error("--sigma repeats only with --sweep")
     sigma = args.sigmas[0] if args.sigmas else 0.0
     model = synth.random_union_model(args.ambient, dims, args.seed)
     instance = synth.sample_instance(model, [args.points] * len(dims), sigma, args.seed + 1)
@@ -245,13 +246,15 @@ def cmd_synth(parser, args) -> int:
 
 
 def cmd_cluster(parser, args) -> int:
+    out = Path(args.out) if args.out else labels_path(args.data, ".pred")
+    if labels_path(out).resolve() == labels_path(args.data).resolve():
+        parser.error(f"--out {args.out} would write over the dataset's {labels_path(out)}")
     dataset = load_csv(args.data)
     start = time.perf_counter()
     labels, result, params = _run_algorithm(parser, args, dataset)
     seconds = time.perf_counter() - start
     _warn_if_noisy(args, dataset, labels)
 
-    out = Path(args.out) if args.out else Path(args.data)
     save_labels(labels_path(out), labels)
 
     error_pct = ""
@@ -368,7 +371,7 @@ def _add_cluster_flags(sub) -> None:
     sub.add_argument("--algo", required=True, choices=["proto", "rcur", "sim", "exact"])
     sub.add_argument("--M", type=count, help="number of subspaces")
     sub.add_argument("--rank", type=count, help="clean-data rank (proto/sim)")
-    sub.add_argument("--dmax", type=count, help="largest subspace dimension (exact)")
+    sub.add_argument("--dmax", type=count, help="ignored: the exact path needs no dimension")
     sub.add_argument("--k", type=int, default=25, help="number of CUR trials")
     sub.add_argument("--rows", type=count, help="rows per trial (default: rank)")
     sub.add_argument("--cols", type=count, help="columns per trial (default: all)")
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = commands.add_parser("cluster", help="cluster one dataset CSV")
     p_cluster.add_argument("data", help="dataset CSV path")
-    p_cluster.add_argument("--out", help="output prefix (default: the dataset path)")
+    p_cluster.add_argument("--out", help="output prefix (default: <dataset name>.pred)")
     _add_cluster_flags(p_cluster)
 
     p_bench = commands.add_parser("bench", help="run one algorithm over a dataset directory")
@@ -422,13 +425,10 @@ def main(argv=None) -> int:
     handlers = {"synth": cmd_synth, "cluster": cmd_cluster, "bench": cmd_bench}
     try:
         return handlers[args.command](parser, args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (SelectionFailed, np.linalg.LinAlgError) as exc:
+    except (SelectionFailed, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ALGO
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,7 +1,7 @@
 """End-to-end subspace clustering pipelines.
 
-Three paths are provided: the exact noise-free construction (full
-selection, 0/1 pattern power, connected components), the noisy multi-trial
+Three paths are provided: the exact noise-free construction (components of
+the full selection's shape-interaction pattern), the noisy multi-trial
 median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
 spectral partition.
@@ -17,7 +17,7 @@ from . import cluster as _cluster
 from . import simgen
 from .cluster import LabelVector
 from .cur import _required_rank, _sample
-from .linalg import _pinv_from_svd, as_matrix, numerical_rank, pinv
+from .linalg import _pinv_from_svd, as_matrix, numerical_rank
 
 BACKENDS = ("pcc", "spectral", "kmeans")
 
@@ -92,16 +92,15 @@ def _run_backend(backend: str, sim: simgen.SimilarityMatrix, m: int, seed: int) 
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def cluster_noise_free(w, d_max: int) -> LabelVector:
-    """Exact clustering of noise-free union data.
+def cluster_noise_free(w) -> LabelVector:
+    """Exact clustering of noise-free union data: the components of Y = pinv(W) W's 0/1 pattern.
 
-    Uses the full selection (C = R = U = W), so Y = pinv(W) W; the labels
-    are the connected components of the 0/1 pattern of (Y.T Y)^d_max, the
-    binary `similarity_noise_free`, whose integer arithmetic no d_max overflows.
+    With the full selection (C = R = U = W), Y = V V.T is the shape-interaction matrix that
+    `simgen.sim_baseline` builds, validating `w`, from W's SVD cut to its rank.  The paper's
+    (Y.T Y)^d_max (`similarity_noise_free`) has these components for any d_max: Y.T Y = Y, and
+    each edge of a Gram pattern has an endpoint with a self-loop, so powering joins no two.
     """
-    w = as_matrix(w)
-    sim = simgen.similarity_noise_free(pinv(w) @ w, d_max, "binary")
-    return _cluster.connected_components(sim)
+    return _cluster.connected_components(simgen.sim_baseline(w, min(np.shape(w))))
 
 
 def _rcur_factor(r_rows, svd):

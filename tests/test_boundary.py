@@ -15,7 +15,7 @@ import curcluster as cc
 #: exported callables that take a matrix, each wrapped to take only it
 TAKES_MATRIX = {
     "SimilarityMatrix": cc.SimilarityMatrix,
-    "cluster_noise_free": lambda a: cc.cluster_noise_free(a, 1),
+    "cluster_noise_free": cc.cluster_noise_free,
     "coefficient_matrix": lambda a: cc.coefficient_matrix(
         cc.CurFactors(c=a, u=a, r=a, selection=cc.IndexSelection(np.arange(4), np.arange(4)))
     ),

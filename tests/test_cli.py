@@ -123,6 +123,14 @@ class TestSynthCommand:
         assert "sigma must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_sigma_needs_sweep(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--sigma", "0.01", "--sigma", "0.2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--sigma repeats only with --sweep" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_checks_every_sigma_first(self, tmp_path, capsys, monkeypatch):
         def no_level_runs(*args, **kwargs):
             raise AssertionError("a noise level ran before every sigma was checked")
@@ -156,14 +164,31 @@ class TestClusterCommand:
         return out
 
     def test_exact_zero_error(self, dataset, tmp_path, capsys):
-        code = main(["cluster", str(dataset), "--algo", "exact", "--dmax", "4",
-                     "--out", str(tmp_path / "run")])
+        code = main(["cluster", str(dataset), "--algo", "exact", "--out", str(tmp_path / "run")])
         assert code == 0
         assert "clustering error: 0%" in capsys.readouterr().out
         assert (tmp_path / "run.labels").is_file()
         report = (tmp_path / "run.report.csv").read_text().splitlines()
         assert report[0] == "dataset,algo,params,error_pct,r_best,seconds,seed"
-        assert ",exact," in report[1]
+        assert ",exact,,0,," in report[1]  # no params: the exact path takes none
+
+    def test_default_out_keeps_dataset_labels(self, dataset, capsys):
+        truth = labels_path(dataset).read_bytes()
+        assert main(["cluster", str(dataset), "--algo", "exact"]) == 0
+        assert "clustering error: 0%" in capsys.readouterr().out
+        assert labels_path(dataset).read_bytes() == truth
+        assert (dataset.parent / "d.pred.labels").read_bytes() == truth  # 0% error, same ids
+        assert (dataset.parent / "d.pred.report.csv").is_file()
+
+    @pytest.mark.parametrize("out", ["d", "d.csv"])
+    def test_out_onto_dataset_labels_exits_usage(self, dataset, capsys, out):
+        truth = labels_path(dataset).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(dataset), "--algo", "proto", "--M", "2", "--rank", "8",
+                  "--out", str(dataset.parent / out)])
+        assert exc.value.code == 2
+        assert "would write over the dataset's" in capsys.readouterr().err
+        assert labels_path(dataset).read_bytes() == truth
 
     def test_proto_deterministic_byte_identical(self, dataset, tmp_path):
         argv = ["cluster", str(dataset), "--algo", "proto", "--M", "2",
@@ -193,8 +218,7 @@ class TestClusterCommand:
         assert exc.value.code == 2
 
     def test_missing_data_exits_three(self, tmp_path):
-        code = main(["cluster", str(tmp_path / "nope.csv"), "--algo", "exact",
-                     "--dmax", "1"])
+        code = main(["cluster", str(tmp_path / "nope.csv"), "--algo", "exact"])
         assert code == 3
 
     def test_bad_rank_exits_three(self, dataset):
@@ -218,7 +242,7 @@ class TestClusterCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--algo", "exact", "--dmax", "1"],
+        ["--algo", "exact"],
         ["--algo", "proto", "--M", "2", "--rank", "2"],
         ["--algo", "rcur", "--M", "2", "--rmin", "1", "--rmax", "2", "--alpha", "2"],
         ["--algo", "sim", "--M", "2", "--rank", "2"],
@@ -237,28 +261,18 @@ class TestClusterCommand:
         assert code == 4
         assert "SVD did not converge" in capsys.readouterr().err
 
-    def test_exact_large_d_max_exits_zero(self, tmp_path, capsys):
-        # a float power of |Y.T Y| overflows on this instance at d_max = 5000
-        data = tmp_path / "w.csv"
-        main(["synth", "--case", "2", "--points", "100", "--sigma", "0", "--seed", "0",
-              "--out", str(data)])
-        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "5000"]) == 0
-        assert "clustering error: 0%" in capsys.readouterr().out
-
     def test_exact_more_than_eight_components_reports(self, tmp_path, capsys):
         # noise breaks the exact path's pattern into one component per point
         data = tmp_path / "noisy.csv"
         main(["synth", "--case", "2", "--points", "20", "--sigma", "0.05", "--out", str(data)])
-        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
-                     "--out", str(tmp_path / "o")]) == 0
+        assert main(["cluster", str(data), "--algo", "exact", "--out", str(tmp_path / "o")]) == 0
         assert "clustering error: 95%" in capsys.readouterr().out  # 3 of 60 points matched
-        assert ",exact,dmax=4,95," in (tmp_path / "o.report.csv").read_text()
+        assert ",exact,,95," in (tmp_path / "o.report.csv").read_text()
 
     def test_exact_on_noisy_data_warns(self, tmp_path, capsys):
         data = tmp_path / "noisy.csv"
         main(["synth", "--case", "2", "--points", "20", "--sigma", "0.05", "--out", str(data)])
-        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
-                     "--out", str(tmp_path / "o")]) == 0
+        assert main(["cluster", str(data), "--algo", "exact", "--out", str(tmp_path / "o")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "60 components, 60 of them single points" in err[0]
@@ -267,8 +281,7 @@ class TestClusterCommand:
     def test_exact_on_noise_free_data_is_silent(self, tmp_path, capsys):
         data = tmp_path / "clean.csv"  # 300 x 300, as the exact path's benchmark input
         main(["synth", "--case", "2", "--points", "100", "--sigma", "0", "--out", str(data)])
-        assert main(["cluster", str(data), "--algo", "exact", "--dmax", "4",
-                     "--out", str(tmp_path / "o")]) == 0
+        assert main(["cluster", str(data), "--algo", "exact", "--out", str(tmp_path / "o")]) == 0
         captured = capsys.readouterr()
         assert "clustering error: 0%" in captured.out
         assert captured.err == ""
@@ -316,7 +329,7 @@ class TestBenchCommand:
             main(["synth", "--case", "2", "--points", "20", "--sigma", sigma,
                   "--out", str(bench / f"{name}.csv")])
         assert main(["bench", "--dir", str(bench), "--out", str(tmp_path / "r.csv"),
-                     "--algo", "exact", "--dmax", "4", "--repeats", "3"]) == 0
+                     "--algo", "exact", "--repeats", "3"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "noisy.csv" in err[0] and "60 of them single points" in err[0]
@@ -334,7 +347,7 @@ class TestBenchCommand:
         for repeats in ("1", "3"):
             report = tmp_path / f"r{repeats}.csv"
             assert main(["bench", "--dir", str(bench), "--out", str(report), "--algo", "exact",
-                         "--dmax", "4", "--repeats", repeats]) == 0
+                         "--repeats", repeats]) == 0
             errors.append(next(csv.DictReader(report.open()))["error_pct"])
         assert len(calls) == 2
         assert errors[0] == errors[1] != "0"
@@ -343,7 +356,7 @@ class TestBenchCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main(["bench", "--dir", str(empty), "--out",
-                     str(tmp_path / "r.csv"), "--algo", "exact", "--dmax", "1"])
+                     str(tmp_path / "r.csv"), "--algo", "exact"])
         assert code == 3
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
@@ -352,8 +365,7 @@ class TestBenchCommand:
         write(bench / "d.csv", "1,2\n3,4\n")
         manifest = write(tmp_path / "manifest.csv", "d.csv,only-two-fields\n")
         code = main(["bench", "--dir", str(bench), "--manifest", str(manifest),
-                     "--out", str(tmp_path / "r.csv"), "--algo", "exact",
-                     "--dmax", "1"])
+                     "--out", str(tmp_path / "r.csv"), "--algo", "exact"])
         assert code == 3
         for count in ("0", "-1"):
             manifest = write(tmp_path / "manifest.csv", f"d.csv,cat,2\n\nd.csv,cat,{count}\n")

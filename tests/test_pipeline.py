@@ -29,26 +29,32 @@ def two_line_data():
 
 class TestClusterNoiseFree:
     def test_two_lines(self):
-        labels = cluster_noise_free(two_line_data(), d_max=1)
+        labels = cluster_noise_free(two_line_data())
         truth = LabelVector(labels=np.array([0, 0, 1, 1]), m_clusters=2)
         assert clustering_error(labels, truth) == 0.0
 
     def test_single_subspace_single_label(self, rng):
         basis = rng.standard_normal((8, 2))
         w = basis @ rng.standard_normal((2, 6))
-        labels = cluster_noise_free(w, d_max=2)
+        labels = cluster_noise_free(w)
         assert labels.m_clusters == 1
 
     def test_three_planes(self):
         model = random_union_model(10, [2, 2, 2], seed=7)
         inst = sample_instance(model, [5, 5, 5], 0.0, seed=8)
-        labels = cluster_noise_free(inst.data, d_max=2)
+        labels = cluster_noise_free(inst.data)
         assert clustering_error(labels, inst.truth) == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed):
         inst = union_instance(seed)
-        labels = cluster_noise_free(inst.data, max(inst.model.subspace_dims))
+        labels = cluster_noise_free(inst.data)
+        assert clustering_error(labels, inst.truth) == 0.0
+
+    def test_subspaces_fill_the_ambient_space(self, rng):
+        # rank(W) = m, so the SVD cut keeps every singular vector; the planes are oblique
+        inst = sample_instance(random_union_model(5, [2, 3], seed=3), [6, 6], 0.0, seed=4)
+        labels = cluster_noise_free(rng.standard_normal((5, 5)) @ inst.data)
         assert clustering_error(labels, inst.truth) == 0.0
 
     def test_binary_kind_agrees(self):
@@ -57,16 +63,7 @@ class TestClusterNoiseFree:
         d_max = max(inst.model.subspace_dims)
         y = pinv(inst.data) @ inst.data
         absolute = cluster.connected_components(simgen.similarity_noise_free(y, d_max, "absolute"))
-        np.testing.assert_array_equal(cluster_noise_free(inst.data, d_max).labels, absolute.labels)
-
-    def test_binary_large_d_max_does_not_overflow(self):
-        # a float power overflows here; the 0/1 pattern power cannot
-        model = random_union_model(300, [4, 4, 4], seed=0)
-        inst = sample_instance(model, [100, 100, 100], 0.0, seed=1)
-        labels = cluster_noise_free(inst.data, 5000)
-        assert labels.m_clusters == 3
-        assert clustering_error(labels, inst.truth) == 0.0
-        np.testing.assert_array_equal(labels.labels, cluster_noise_free(inst.data, 4).labels)
+        np.testing.assert_array_equal(cluster_noise_free(inst.data).labels, absolute.labels)
 
 
 class TestProtoConfig:
@@ -522,19 +519,29 @@ class TestOneSimilarityMatrix:
 
     def test_cluster_noise_free(self, constructions):
         inst = union_instance(4)
-        cluster_noise_free(inst.data, max(inst.model.subspace_dims))
+        cluster_noise_free(inst.data)
         assert len(constructions) == 1
 
 
 @st.composite
 def exact_instances(draw):
-    """Noise-free union data: M in [1, 5] subspaces of dimension <= 4, n <= 60 points."""
+    """Noise-free union data: M in [1, 5] independent subspaces of dimension <= 4, n <= 62 points.
+
+    A zero column (a component of its own) and a copy of the first column may be appended.
+    Returns (W, the largest dimension, a permutation of the columns).
+    """
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     points = [d + draw(st.integers(1, 12 - d)) for d in dims]
     seed = draw(st.integers(0, 2**16))
     model = random_union_model(sum(dims) + draw(st.integers(0, 8)), dims, seed)
-    inst = sample_instance(model, points, 0.0, seed + 1)
-    return inst.data, max(dims), draw(st.permutations(range(sum(points))))
+    w = sample_instance(model, points, 0.0, seed + 1).data
+    # a Gaussian map of the ambient space keeps the subspaces independent, not orthogonal
+    w = np.random.default_rng(seed).standard_normal((w.shape[0],) * 2) @ w
+    if draw(st.booleans()):
+        w = np.column_stack([w, np.zeros(w.shape[0])])
+    if draw(st.booleans()):
+        w = np.column_stack([w, w[:, 0]])
+    return w, max(dims), draw(st.permutations(range(w.shape[1])))
 
 
 class TestExactPathProperties:
@@ -542,19 +549,30 @@ class TestExactPathProperties:
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(exact_instances())
-    def test_scale_invariant(self, instance):
+    def test_matches_similarity_noise_free(self, instance):
+        # the paper's (Y.T Y)^d, Y = pinv(W) W, has the same components at every power d
         w, d_max, _ = instance
-        labels = cluster_noise_free(w, d_max).labels
+        labels = cluster_noise_free(w).labels
+        y = pinv(w) @ w
+        for d in (1, d_max, 50):
+            reference = cluster.connected_components(simgen.similarity_noise_free(y, d, "binary"))
+            np.testing.assert_array_equal(labels, reference.labels)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(exact_instances())
+    def test_scale_invariant(self, instance):
+        w, _, _ = instance
+        labels = cluster_noise_free(w).labels
         for scale in (1e8, 1e-8):
-            np.testing.assert_array_equal(cluster_noise_free(w * scale, d_max).labels, labels)
+            np.testing.assert_array_equal(cluster_noise_free(w * scale).labels, labels)
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(exact_instances())
     def test_column_permutation_equivariant(self, instance):
-        w, d_max, perm = instance
-        labels = cluster_noise_free(w, d_max)
+        w, _, perm = instance
+        labels = cluster_noise_free(w)
         permuted = LabelVector(labels=labels.labels[list(perm)], m_clusters=labels.m_clusters)
-        assert clustering_error(cluster_noise_free(w[:, perm], d_max), permuted) == 0.0
+        assert clustering_error(cluster_noise_free(w[:, perm]), permuted) == 0.0
 
 
 @st.composite

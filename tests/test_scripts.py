@@ -8,9 +8,11 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curcluster import cli, synth
+from curcluster.cluster import LabelVector, clustering_error
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ablate_8c.py"
@@ -23,10 +25,12 @@ def load(path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
     return module
 
 
@@ -70,15 +74,49 @@ def test_sweep_workload_bindings_exist():
         assert name in synth.run_sweep.__code__.co_names, f"run_sweep no longer calls {name}"
 
 
+def readme_commands():
+    """The argv of each `curcluster` command in the README's "Command line" block."""
+    commands = re.search(r"## Command line\n+```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    return [shlex.split(line)[1:] for line in commands.replace("\\\n", " ").splitlines()
+            if line.startswith("curcluster ")]
+
+
 def test_readme_examples():
     # the Python snippet runs, and every command of the "Command line" block parses
-    text = README.read_text()
-    (snippet,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(compile(snippet, str(README), "exec"), {})
-    commands = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S).group(1)
-    lines = [line for line in commands.replace("\\\n", " ").splitlines()
-             if line.startswith("curcluster ")]
-    assert lines
+    argvs = readme_commands()
+    assert argvs
     parser = cli.build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
+def test_readme_cluster_runs_keep_the_truth(tmp_path, monkeypatch, capsys):
+    # the block's instance, then its `cluster` runs in order: no run writes over the instance's
+    # labels, so each reported error is measured against the synthetic truth
+    monkeypatch.chdir(tmp_path)
+    synth_argv, *runs = [argv for argv in readme_commands() if argv[0] == "cluster"
+                         or (argv[0] == "synth" and "--sweep" not in argv)]
+    assert synth_argv[0] == "synth" and len(runs) == 3
+    assert cli.main(synth_argv) == 0
+    data = Path(synth_argv[synth_argv.index("--out") + 1])
+    truth_bytes = cli.labels_path(data).read_bytes()
+    truth = cli.load_csv(data).labels
+    for argv in runs:
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert cli.labels_path(data).read_bytes() == truth_bytes
+        predicted = np.loadtxt(cli.labels_path(data, ".pred.labels"), dtype=int)
+        error = clustering_error(LabelVector(predicted, int(predicted.max()) + 1), truth)
+        assert f"clustering error: {error:.6g}%" in capsys.readouterr().out
+
+
+def test_cli_exact_workload_clusters(tmp_path):
+    # the benchmark's `cluster --algo exact --dmax 4 --out PREFIX` run, at its tiny size
+    workload = load(PERFBENCH / "workloads.py").CliExactN300(tiny=True)
+    (spec,) = workload.make_ops(1, tmp_path)
+    outcome = workload.outcome(spec, workload.op(spec))
+    assert outcome.exit_code == 0
+    truth = LabelVector(outcome.truth, int(outcome.truth.max()) + 1)
+    assert clustering_error(LabelVector(outcome.labels, outcome.m_clusters), truth) == 0.0

@@ -126,7 +126,7 @@ class TestSampleInstance:
     def test_noise_free_clustering_round_trip(self):
         model = random_union_model(30, (3, 2, 4), seed=11)
         inst = sample_instance(model, (7, 6, 8), 0.0, seed=12)
-        labels = cluster_noise_free(inst.data, max(model.subspace_dims))
+        labels = cluster_noise_free(inst.data)
         assert clustering_error(labels, inst.truth) == 0.0
 
 
