@@ -6,8 +6,9 @@ sibling ``<name>.labels`` file with one integer >= 0 per line.  All commands
 honor ``--seed`` and produce byte-identical outputs for identical
 invocations.
 
-Exit codes: 0 success, 2 usage error (also a count flag below 1 or a flag a
-pipeline config rejects), 3 data error, 4 algorithm failure (also LinAlgError).
+Exit codes: 0 success, 2 usage error (also a count flag below 1, a flag a
+pipeline config rejects, or a ``bench --out`` inside ``--dir`` not named
+``*.report.csv``), 3 data error, 4 algorithm failure (also LinAlgError).
 """
 
 from __future__ import annotations
@@ -245,41 +246,49 @@ def cmd_synth(parser, args) -> int:
     return EXIT_OK
 
 
+def _score(parser, args, dataset: DatasetFile, repeats: int = 1):
+    """Run the pipeline at seeds seed .. seed+repeats-1 and score the runs against the truth.
+
+    Returns the last run's labels and RcurResult (or None) and its report record, whose
+    `mean_err` is the mean clustering error in % (None without ground truth).
+    """
+    run_args = argparse.Namespace(**vars(args))
+    errors = []
+    start = time.perf_counter()
+    # the exact path takes no seed: one run gives every repeat's labels
+    for repeat in range(1 if args.algo == "exact" else repeats):
+        run_args.seed = args.seed + repeat
+        labels, result, params = _run_algorithm(parser, run_args, dataset)
+        if dataset.labels is not None:
+            errors.append(clustering_error(labels, dataset.labels))
+    seconds = time.perf_counter() - start
+    _warn_if_noisy(args, dataset, labels)
+    mean_err = float(np.mean(errors)) if errors else None
+    return labels, result, {
+        "algo": args.algo,
+        "params": params,
+        "error_pct": "" if mean_err is None else f"{mean_err:.6g}",
+        "r_best": result.r_best if isinstance(result, pipeline.RcurResult) else "",
+        "seconds": f"{seconds:.3f}",
+        "seed": args.seed,
+        "mean_err": mean_err,
+    }
+
+
 def cmd_cluster(parser, args) -> int:
     out = Path(args.out) if args.out else labels_path(args.data, ".pred")
     if labels_path(out).resolve() == labels_path(args.data).resolve():
         parser.error(f"--out {args.out} would write over the dataset's {labels_path(out)}")
     dataset = load_csv(args.data)
-    start = time.perf_counter()
-    labels, result, params = _run_algorithm(parser, args, dataset)
-    seconds = time.perf_counter() - start
-    _warn_if_noisy(args, dataset, labels)
-
+    labels, result, record = _score(parser, args, dataset)
     save_labels(labels_path(out), labels)
-
-    error_pct = ""
-    if dataset.labels is not None:
-        error_pct = f"{clustering_error(labels, dataset.labels):.6g}"
-        print(f"clustering error: {error_pct}%")
-    r_best = result.r_best if isinstance(result, pipeline.RcurResult) else ""
+    if record["error_pct"]:
+        print(f"clustering error: {record['error_pct']}%")
     if isinstance(result, pipeline.RcurResult):
         print(f"r_best: {result.r_best}")
         for r, ncut in result.ncut_per_rank:
             print(f"  rank {r}: ncut {ncut:.6g}")
-    _write_report(
-        str(out) + ".report.csv",
-        [
-            {
-                "dataset": str(dataset.path),
-                "algo": args.algo,
-                "params": params,
-                "error_pct": error_pct,
-                "r_best": r_best,
-                "seconds": f"{seconds:.3f}",
-                "seed": args.seed,
-            }
-        ],
-    )
+    _write_report(str(out) + ".report.csv", [{"dataset": str(dataset.path), **record}])
     return EXIT_OK
 
 
@@ -306,7 +315,10 @@ def _load_manifest(path) -> dict:
 
 
 def cmd_bench(parser, args) -> int:
-    directory = Path(args.dir)
+    directory, out = Path(args.dir), Path(args.out)
+    if out.resolve().parent == directory.resolve() and not out.name.endswith(".report.csv"):
+        parser.error(f"--out {args.out} is inside --dir {args.dir}, where the next bench would "
+                     "read it as a dataset; write it elsewhere or name it *.report.csv")
     files = sorted(directory.glob("*.csv")) if directory.is_dir() else []
     files = [f for f in files if not f.name.endswith(".report.csv")]
     if not files:
@@ -315,55 +327,20 @@ def cmd_bench(parser, args) -> int:
 
     records = []
     for path in files:
-        dataset = load_csv(path)
         entry = manifest.get(path.name, {})
-        run_args = argparse.Namespace(**vars(args))
-        if "M" in entry:
-            run_args.M = entry["M"]
-        errors = []
-        r_best = ""
-        start = time.perf_counter()
-        # the exact path takes no seed: one run gives every repeat's labels
-        for repeat in range(1 if args.algo == "exact" else args.repeats):
-            run_args.seed = args.seed + repeat
-            labels, result, params = _run_algorithm(parser, run_args, dataset)
-            if isinstance(result, pipeline.RcurResult):
-                r_best = result.r_best
-            if dataset.labels is not None:
-                errors.append(clustering_error(labels, dataset.labels))
-        seconds = time.perf_counter() - start
-        _warn_if_noisy(run_args, dataset, labels)
-        mean_err = float(np.mean(errors)) if errors else None
-        records.append(
-            {
-                "dataset": path.name,
-                "algo": args.algo,
-                "params": params,
-                "error_pct": "" if mean_err is None else f"{mean_err:.6g}",
-                "r_best": r_best,
-                "seconds": f"{seconds:.3f}",
-                "seed": args.seed,
-                "category": entry.get("category", ""),
-                "mean_err": mean_err,
-            }
-        )
-
+        run_args = argparse.Namespace(**{**vars(args), "M": entry.get("M", args.M)})
+        record = _score(parser, run_args, load_csv(path), args.repeats)[2]
+        records.append({"dataset": path.name, **record, "category": entry.get("category", "")})
     _write_report(args.out, records)
 
-    by_category = {}
-    for rec in records:
-        if rec["mean_err"] is not None:
-            by_category.setdefault(rec["category"] or "all", []).append(rec["mean_err"])
-    scored = [r["mean_err"] for r in records if r["mean_err"] is not None]
-    for category in sorted(by_category):
-        errs = np.asarray(by_category[category])
-        print(
-            f"{category or 'all'} ({errs.size}): mean {errs.mean():.4g}% "
-            f"median {np.median(errs):.4g}%"
-        )
-    if scored:
-        errs = np.asarray(scored)
-        print(f"overall ({errs.size}): mean {errs.mean():.4g}% median {np.median(errs):.4g}%")
+    scored = [rec for rec in records if rec["mean_err"] is not None]
+    groups = {}
+    for rec in scored:
+        groups.setdefault(rec["category"] or "all", []).append(rec)
+    for name, group in [*sorted(groups.items()), ("overall", scored)]:
+        errs = [rec["mean_err"] for rec in group]
+        if errs:
+            print(f"{name} ({len(errs)}): mean {np.mean(errs):.4g}% median {np.median(errs):.4g}%")
     return EXIT_OK
 
 

@@ -352,6 +352,53 @@ class TestBenchCommand:
         assert len(calls) == 2
         assert errors[0] == errors[1] != "0"
 
+    @pytest.mark.parametrize("out, code", [
+        ("bench/report.csv", 2),
+        ("bench/a.csv", 2),
+        ("bench/a.labels", 2),
+        ("bench/run.report.csv", 0),  # the dataset glob skips *.report.csv
+        ("report.csv", 0),
+    ])
+    def test_out_inside_dir_exits_usage(self, tmp_path, capsys, out, code):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        main(["synth", "--case", "2", "--points", "10", "--out", str(bench / "a.csv")])
+        before = {p.name: p.read_bytes() for p in bench.iterdir()}
+        argv = ["bench", "--dir", str(bench), "--algo", "exact", "--out"]
+        if code:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [str(tmp_path / out)])
+            assert exc.value.code == code
+            assert f"--out {tmp_path / out} is inside --dir {bench}" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in bench.iterdir()} == before
+        else:
+            assert main(argv + [str(tmp_path / out)]) == 0
+        assert main(argv + [str(tmp_path / "again.csv")]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "exact"],
+        ["--algo", "proto", "--M", "2", "--rank", "8", "--k", "5"],
+        ["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "8", "--alpha", "2", "--k", "5"],
+        ["--algo", "sim", "--M", "2", "--rank", "8"],
+    ])
+    def test_one_repeat_reports_as_cluster(self, tmp_path, flags):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        data = bench / "d.csv"
+        main(["synth", "--case", "1", "--sigma", "0.05", "--points", "8", "--ambient", "40",
+              "--out", str(data)])
+        assert main(["cluster", str(data), "--seed", "3", "--out", str(tmp_path / "c")]
+                    + flags) == 0
+        assert main(["bench", "--dir", str(bench), "--repeats", "1", "--seed", "3",
+                     "--out", str(tmp_path / "b.csv")] + flags) == 0
+        rows = []
+        for report in (tmp_path / "c.report.csv", tmp_path / "b.csv"):
+            (row,) = csv.DictReader(report.open())
+            del row["dataset"], row["seconds"]
+            rows.append(row)
+        assert rows[0] == rows[1]
+        assert rows[0]["error_pct"] != ""
+
     def test_empty_directory_exits_three(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
