@@ -7,7 +7,8 @@ honor ``--seed`` and produce byte-identical outputs for identical
 invocations.
 
 Exit codes: 0 success, 2 usage error (also a count flag below 1, a flag a
-pipeline config rejects, or a ``bench --out`` inside ``--dir`` not named
+pipeline config rejects, a ``cluster --out`` prefix ``<out>`` whose
+``<out>.csv`` exists, or a ``bench --out`` inside ``--dir`` not named
 ``*.report.csv``), 3 data error, 4 algorithm failure (also LinAlgError).
 """
 
@@ -279,6 +280,9 @@ def cmd_cluster(parser, args) -> int:
     out = Path(args.out) if args.out else labels_path(args.data, ".pred")
     if labels_path(out).resolve() == labels_path(args.data).resolve():
         parser.error(f"--out {args.out} would write over the dataset's {labels_path(out)}")
+    if labels_path(out, ".csv").is_file():
+        parser.error(f"--out {args.out} would write over {labels_path(out)}, the labels of "
+                     f"dataset {labels_path(out, '.csv')}")
     dataset = load_csv(args.data)
     labels, result, record = _score(parser, args, dataset)
     save_labels(labels_path(out), labels)

@@ -155,15 +155,16 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     """Entrywise median of k symmetric n x n matrices, then absolute value.
 
     `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
-    i's upper triangle, in `upper_triangle(n)` order; it is partitioned in
-    place, scrambling it, and its row k // 2 ends up holding the median.
-    The median, taken once per upper-triangle entry, is mirrored into a
-    symmetric matrix one row of the triangle at a time, which needs no
-    flat index.  An even count averages the middle two.  One
-    partition at k // 2 finds it: for an even count the lower middle is
-    then the largest entry of the rows below k // 2.  The stack must be
-    finite, as the trial loop's Gram products are: unlike `np.median`, the
-    partition does not turn a NaN trial into a NaN median.
+    i's upper triangle, in `upper_triangle(n)` order; the trial loop's is
+    float32.  It is partitioned in place, scrambling it, and its row k // 2
+    ends up holding the median, in the stack's dtype.  The median, taken
+    once per upper-triangle entry, is mirrored into a symmetric float64
+    matrix one row of the triangle at a time, which needs no flat index.
+    An even count averages the middle two.  One partition at k // 2 finds
+    it: for an even count the lower middle is then the largest entry of
+    the rows below k // 2.  The stack must be finite, as the trial loop's
+    Gram products are: unlike `np.median`, the partition does not turn a
+    NaN trial into a NaN median.
     """
     k = stack.shape[0]
     stack.partition(k // 2, axis=0)

@@ -190,6 +190,19 @@ class TestClusterCommand:
         assert "would write over the dataset's" in capsys.readouterr().err
         assert labels_path(dataset).read_bytes() == truth
 
+    @pytest.mark.parametrize("out", ["b", "b.csv"])
+    def test_out_onto_other_dataset_labels_exits_usage(self, dataset, capsys, out):
+        other = dataset.parent / "b.csv"
+        main(["synth", "--case", "1", "--sigma", "0", "--out", str(other), "--points", "8",
+              "--ambient", "40", "--seed", "3"])
+        truth = labels_path(other).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(dataset), "--algo", "exact", "--out", str(dataset.parent / out)])
+        assert exc.value.code == 2
+        assert (f"would write over {labels_path(other)}, the labels of dataset {other}"
+                in capsys.readouterr().err)
+        assert labels_path(other).read_bytes() == truth
+
     def test_proto_deterministic_byte_identical(self, dataset, tmp_path):
         argv = ["cluster", str(dataset), "--algo", "proto", "--M", "2",
                 "--rank", "8", "--k", "5", "--seed", "7"]

@@ -371,6 +371,21 @@ class TestPackedStack:
                 tracemalloc.stop()
         assert max(peaks) < 1.0, f"peaks {peaks[0]:.2f} and {peaks[1]:.2f} stacks"
 
+    def test_proto_stack_is_float32(self):
+        # past a float32 packed stack: its index, Y, the threshold's scratch |Y| and masks, 2.8
+        # n x n float64 arrays; a float64 stack put 9.1 there
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
+        n = w.shape[1]
+        tracemalloc.start()
+        try:
+            proto_similarity(w, ProtoConfig(3, 12, n_trials=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = (peak - 25 * n * (n + 1) // 2 * 4) / (n * n * 8)
+        assert matrices < 3.5, f"{matrices:.2f} n x n float64 arrays beside the float32 stack"
+
 
 class TestPinOnce:
     """Pinning the median's diagonal gives what pinning every trial's diagonal gave."""
@@ -385,9 +400,9 @@ class TestPinOnce:
         trials = []
         for seed in range(cfg.seed, cfg.seed + n_trials):
             rows, _, svd = cur._sample(w, cfg.rows(), n, required, seed)
-            y = proto_factor(3)(w[rows], svd)
+            y = proto_factor(3)(w[rows], svd).astype(np.float32)  # the loop's float32 Grams
             trials.append(simgen.enforce_diagonal(y.T @ y))
-        med = np.abs(np.median(np.array(trials), axis=0))
+        med = np.abs(np.median(np.array(trials), axis=0)).astype(np.float64)
 
         pins = []
         enforce_diagonal = simgen.enforce_diagonal
@@ -403,31 +418,49 @@ def proto_factor(m):
 
 
 def full_stack_median(w, rows, target_rank, seeds, factor):
-    """The protocol before packing: a full k x n x n stack, its median, then 0.5 (med + med.T)."""
+    """The protocol before packing: a full k x n x n stack, its median, then 0.5 (med + med.T).
+
+    The stack holds the float32 Gram products the trial loop takes; the median is widened to
+    float64, as the packed median is.
+    """
     n = w.shape[1]
     required = cur._required_rank(target_rank, rows, n, numerical_rank(w))
-    stack = np.empty((len(seeds), n, n))
+    stack = np.empty((len(seeds), n, n), dtype=np.float32)
     for i, seed in enumerate(seeds):
         row_indices, _, svd = cur._sample(w, rows, n, required, seed)
-        y = factor(w[row_indices], svd)
+        y = factor(w[row_indices], svd).astype(np.float32)
         np.matmul(y.T, y, out=stack[i])
-    med = np.abs(np.median(stack, axis=0))
+    med = np.abs(np.median(stack, axis=0)).astype(np.float64)
     return 0.5 * (med + med.T)
 
 
 class TestGramExactlySymmetric:
     """The packed median rests on Y.T Y, written with out=, being symmetric bit for bit."""
 
-    @pytest.mark.parametrize("k, n", [(k, n) for k in (2, 12, 14) for n in (150, 300)]
-                             + [(150, 150)])
-    @pytest.mark.parametrize("transform", [
+    SHAPES = [(k, n) for k in (2, 12, 14) for n in (150, 300)] + [(150, 150)]
+    TRANSFORMS = pytest.mark.parametrize("transform", [
         normalize_columns,
         lambda y: simgen.threshold_volumetric(y, 3),
     ], ids=["normalize", "threshold"])
-    def test_matmul_out_is_symmetric(self, k, n, transform):
-        y = transform(np.random.default_rng(k * n).standard_normal((k, n)))
-        g = np.empty((n, n))
+
+    @staticmethod
+    def gram(k, n, transform, dtype):
+        y = transform(np.random.default_rng(k * n).standard_normal((k, n))).astype(dtype)
+        g = np.empty((n, n), dtype=dtype)
         np.matmul(y.T, y, out=g)
+        return g
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    @TRANSFORMS
+    def test_matmul_out_is_symmetric(self, k, n, transform):
+        g = self.gram(k, n, transform, np.float64)
+        assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("k, n", SHAPES + [(1200, 1200)])  # proto_n1200's Y is 1200 x 1200
+    @TRANSFORMS
+    def test_float32_matmul_out_is_symmetric(self, k, n, transform):
+        # the trial loop takes its Gram products in float32
+        g = self.gram(k, n, transform, np.float32)
         assert np.array_equal(g, g.T)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -474,6 +507,53 @@ class TestPackedMatchesFullStack:
                                     pipeline._rcur_factor)
             # rcur powers the median's own matrix in place
             np.testing.assert_array_equal(sim.entries, old**cfg.alpha)
+
+
+class TestFloat32RankCutoff:
+    """pcc's rank cutoff (RANK_TOL * n relative) sits below float32 resolution: a float32 median
+    of rank below M keeps pcc's labels, or its error, from the float64 median."""
+
+    @staticmethod
+    def medians(n, coords):
+        # rank-2 data, two rows per trial: each factor is coords.T in the trial's own basis
+        # of the row space (U_r is 2 x 2 orthogonal), so every trial has the Gram coords coords.T
+        w = np.random.default_rng(90).standard_normal((20, 2)) @ np.ones((2, n))
+        w[1] += np.arange(n)
+        factor = lambda r_rows, svd: svd[0].T @ coords.T
+        seeds = range(7)
+        packed = pipeline._median_of_trials(w, 2, 2, n, 2, seeds, factor)
+        trials = []
+        for seed in seeds:
+            _, _, svd = cur._sample(w, 2, n, 2, seed)
+            f = factor(None, svd)
+            trials.append(f.T @ f)
+        med = np.abs(np.median(trials, axis=0))
+        return packed, simgen.SimilarityMatrix(entries=0.5 * (med + med.T))
+
+    # at n = 30 the float32 median's third |lambda| (1e-8 relative) passes the cutoff and
+    # pcc takes a round-off coordinate; at 90 it does not; at 300 pcc's subspace iteration
+    # declines the rank-2 matrix on both sides and eigh decides
+    @pytest.mark.parametrize("n", [30, 90, 300])
+    def test_rank_two_median_three_clusters(self, n):
+        # three blobs within 90 degrees of each other (so the Gram is nonnegative)
+        rng = np.random.default_rng(n)
+        angles = np.deg2rad(np.repeat([10.0, 45.0, 80.0], n // 3) + rng.uniform(-5, 5, n))
+        coords = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(1, 1.2, (n, 1))
+        packed, reference = self.medians(n, coords)
+        singulars = np.sort(np.abs(np.linalg.eigvalsh(reference.entries)))[::-1]
+        assert singulars[2] <= cluster._rank_cutoff(singulars, (n, n))  # rank 2 < M = 3
+        labels = cluster.pcc_cluster(packed, 3, seed=0).labels
+        np.testing.assert_array_equal(labels, cluster.pcc_cluster(reference, 3, seed=0).labels)
+        np.testing.assert_array_equal(np.bincount(labels), [n // 3] * 3)
+
+    def test_zero_median_same_error(self):
+        packed, reference = self.medians(90, np.zeros((90, 2)))
+        errors = []
+        for sim in (packed, reference):
+            with pytest.raises(ValueError) as info:
+                cluster.pcc_cluster(sim, 3, seed=0)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 @pytest.fixture

@@ -301,8 +301,8 @@ TRIAL_COUNTS = {
 
 
 @st.composite
-def symmetric_stacks(draw, counts):
-    """k symmetric n x n matrices, n <= 6, at a scale from 1e-300 to 1e300.
+def symmetric_stacks(draw, counts, dtype=np.float64):
+    """k symmetric n x n matrices, n <= 6, at a scale from 1e-300 to 1e300 (float32: 1e±30).
 
     Half of them are rounded to integers first: many ties, and -0.0 wherever a
     small negative rounds to zero.
@@ -312,7 +312,9 @@ def symmetric_stacks(draw, counts):
     mats = rng.standard_normal((k, n, n)) * 2.0
     if draw(st.booleans()):
         mats = np.round(mats)
-    return (mats + mats.transpose(0, 2, 1)) * 10.0 ** draw(st.integers(-300, 300))
+    limit = 300 if dtype == np.float64 else 30
+    return ((mats + mats.transpose(0, 2, 1)) * 10.0 ** draw(st.integers(-limit, limit))
+            ).astype(dtype)
 
 
 class TestMedianMatchesNumpy:
@@ -326,6 +328,20 @@ class TestMedianMatchesNumpy:
         stack = pack(mats)
         expected = np.abs(np.median(stack, axis=0))
         got = median_aggregate(stack).entries[np.triu_indices(mats.shape[1])]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("counts", [TRIAL_COUNTS["odd"], TRIAL_COUNTS["even"]],
+                             ids=["odd", "even"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_float32_stack_bit_for_bit(self, counts, data):
+        # the trial loop's stack: np.median of the float32 stack, widened exactly to float64
+        mats = data.draw(symmetric_stacks(counts, np.float32))
+        stack = pack(mats).astype(np.float32)
+        expected = np.abs(np.median(stack, axis=0)).astype(np.float64)
+        entries = median_aggregate(stack).entries
+        assert entries.dtype == np.float64
+        got = entries[np.triu_indices(mats.shape[1])]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_many_trials(self, rng):
