@@ -78,9 +78,11 @@ def threshold(keep_fraction, per_column=False, latest_first=False):
 
     Global (the shipped rule) or per column; ties at the cut go to the
     earliest row-major position, or to the latest with `latest_first`.
+    It takes the library kernel's arguments and, like it, returns float32
+    F; it leaves the caller's workspace unused.
     """
 
-    def apply(y, m_subspaces):
+    def apply(y, m_subspaces, scratch):
         mag = np.abs(y)
         if per_column:
             keep = math.ceil(keep_fraction(m_subspaces) * y.shape[0])
@@ -97,7 +99,7 @@ def threshold(keep_fraction, per_column=False, latest_first=False):
             mask = np.zeros(flat.size, dtype=bool)
             mask[order[:keep]] = True
             mask = mask.reshape(y.shape)
-        return np.where(mask, y, 0.0)
+        return np.where(mask, y, 0.0).astype(np.float32)
 
     return apply
 

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rank_cutoff, as_matrix
+from .linalg import as_matrix
 from .simgen import SimilarityMatrix, binarize
 
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-8
 _DEGREE_FLOOR = 1e-12
+#: `pcc_cluster` drops a coordinate whose |lambda| is at most n times this, relative to
+#: the largest: the resolution (2^-23) of the float32 Gram products proto's median is built
+#: from, as `linalg.RANK_TOL` is float64 round-off
+_PCC_RANK_TOL = float(np.finfo(np.float32).eps)
 
 #: order from which `pcc_cluster` tries the subspace iteration before a full
 #: `eigh`.  On `proto` medians (25 trials, sigma 0 to 0.1, M = 3, one BLAS
@@ -91,11 +95,13 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, k: int, history=None):
     for _ in range(_KMEANS_MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
-        # repair empty clusters with the point farthest from its center
+        # repair empty clusters with the point farthest from its center, taken from a cluster
+        # with more than one member (n >= k leaves one), so that no repair empties another
         for j in range(k):
             if not np.any(labels == j):
                 assigned = d2[np.arange(points.shape[0]), labels]
-                far = int(np.argmax(assigned))
+                shared = np.bincount(labels, minlength=k)[labels] > 1
+                far = int(np.argmax(np.where(shared, assigned, -np.inf)))
                 labels[far] = j
                 d2[far, :] = np.inf
                 d2[far, j] = 0.0
@@ -247,8 +253,9 @@ def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVecto
     residuals are at round-off level and two Cholesky factorizations
     certify that no eigenvalue left out is as large in magnitude;
     otherwise, and for smaller n, from a full `np.linalg.eigh`.
-    Values below the shared rank cutoff are dropped, as in `skinny_svd`;
-    an all-zero matrix leaves no coordinate (ValueError).
+    Values at most `_PCC_RANK_TOL` * n times the largest are dropped, as
+    round-off of the float32-built median; an all-zero matrix leaves no
+    coordinate (ValueError).
     """
     entries = sim.entries
     n = entries.shape[0]
@@ -260,7 +267,7 @@ def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVecto
         order = np.argsort(-np.abs(eigvals), kind="stable")[:m_clusters]
         found = eigvals[order], eigvecs[:, order]
     singulars, vectors = np.abs(found[0]), found[1]
-    keep = int(np.sum(singulars > _rank_cutoff(singulars, entries.shape)))
+    keep = int(np.sum(singulars > _PCC_RANK_TOL * n * singulars[0]))  # largest first
     coords = vectors[:, :keep] * singulars[:keep]  # n x M
     return kmeans(coords, m_clusters, seed)
 

@@ -3,7 +3,8 @@
 `as_matrix`, the package's only input validator (no NaN/Inf is ever
 admitted), runs where data enters the package: the public routines here
 call it, the private helpers take trusted arrays.  The numerical-rank
-convention used everywhere is a singular value cutoff of
+convention used everywhere but in `cluster.pcc_cluster` (which clusters a
+median built in float32) is a singular value cutoff of
 ``RANK_TOL * max(m, n)`` relative to the largest singular value; `cur`
 and `simgen` rely on this being a single shared constant.  The CUR
 sampler cuts the one SVD of U it takes per draw with `_rank_cutoff` and

@@ -9,6 +9,7 @@ spectral partition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,40 +109,64 @@ def _rcur_factor(r_rows, svd):
     return simgen.normalize_columns((svd[0] / svd[1]).T @ r_rows)  # zero columns of R stay 0
 
 
-def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, factor):
-    """Median of the trials' F.T F, F = factor(R, svd of U), upper triangles packed in one stack.
+def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, make_trial):
+    """Median of the trials' Gram matrices, upper triangles packed in one float32 stack.
 
-    The stack and the Gram products are float32, the median float64.  A float32 inner product
-    of length n errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative
-    at n = 1200 in the worst case, far below the noise level at which the trials' median varies.
-    Beside the stack and its packed index, at most two n x n arrays are alive at any time: the
-    factor's own (proto's Y and its scratch |Y| in the threshold), then F and its Gram matrix.
-    `_pack_gram` writes each F.T F with `out=` (so exactly symmetric) into a fresh n x n array
-    and its upper triangle into the trial's row of the stack; F and the Gram matrix die when it
-    returns.  The index goes before the median, which partitions the stack in place.
+    `make_trial()` allocates the call's workspace and returns the trial function, which maps a
+    draw's rows R and U's SVD to the trial's float32 n x n Gram matrix F.T F, written with
+    `out=` (numpy's syrk path, so exactly symmetric) into a buffer it reuses.  The stack and
+    the Gram products are float32, the median float64.  A float32 inner product of length n
+    errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200
+    in the worst case, far below the noise level at which the trials' median varies.  Each
+    trial's upper triangle is gathered into its row of the stack; the index and the workspace
+    go before the median, which partitions the stack in place.
     """
     required = _required_rank(target_rank, rows, cols, rank_w)
     n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
     stack = np.empty((len(seeds), n * (n + 1) // 2), dtype=np.float32)
     upper = simgen.upper_triangle(n)
+    trial = make_trial()
     for i, seed in enumerate(seeds):
         row_indices, _, svd = _sample(w, rows, cols, required, seed)
-        _pack_gram(factor(w[row_indices], svd), upper, stack[i])
-    del upper
+        # indices in range; mode "raise" would buffer `out`
+        np.take(trial(w[row_indices], svd), upper, out=stack[i], mode="clip")
+    del upper, trial
     return simgen.median_aggregate(stack)
 
 
-def _pack_gram(f, upper, out):
-    """Write the entries of F.T F, taken in float32 from float64 F, at the flat indices `upper`.
+def _factor_grams(factor, n):
+    """Trial function: F = factor(R, svd) in float32, its Gram matrix in one n x n buffer."""
+    gram = np.empty((n, n), dtype=np.float32)
 
-    `out` is float32.  `matmul` with `out=` keeps numpy's symmetric (syrk) product, so the Gram
-    matrix is exactly symmetric in float32 too.
+    def trial(r_rows, svd):
+        f = factor(r_rows, svd).astype(np.float32)
+        return np.matmul(f.T, f, out=gram)
+
+    return trial
+
+
+def _proto_grams(m_subspaces, k, n):
+    """proto's trial function and its workspace, allocated once: no n x n array per trial.
+
+    The trial writes Y = pinv(U) R (k x n float64) into a buffer of max(8kn, 4n^2) bytes,
+    thresholds it with `simgen.threshold_volumetric` (looked up at call time), whose float32 F
+    and keep mask land in the bytes of its k x n float64 scratch |Y|, and writes F.T F (n x n
+    float32) over Y's bytes.  F's lifetime begins after |Y|'s ends, and the Gram matrix's after
+    Y's, so each pair shares its bytes: the workspace is max(8kn, 4n^2) + 8kn bytes, 16n^2 at
+    proto's default k = n (23 MB at n = 1200).
     """
-    f = f.astype(np.float32)
-    gram = np.empty((f.shape[1], f.shape[1]), dtype=np.float32)  # never beside proto's scratch
-    np.matmul(f.T, f, out=gram)
-    np.take(gram, upper, out=out, mode="clip")  # indices in range; "raise" would buffer `out`
+    buffer = np.empty(max(k * n, (n * n + 1) // 2))
+    y = buffer[: k * n].reshape(k, n)
+    gram = buffer.view(np.float32)[: n * n].reshape(n, n)
+    scratch = np.empty((k, n))
+
+    def trial(r_rows, svd):
+        np.matmul(_pinv_from_svd(*svd), r_rows, out=y)
+        f = simgen.threshold_volumetric(y, m_subspaces, scratch)
+        return np.matmul(f.T, f, out=gram)
+
+    return trial
 
 
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
@@ -149,11 +174,11 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     w = as_matrix(w)
     if config.target_rank > min(w.shape):
         raise ValueError("target_rank exceeds min(m, n)")
+    n = w.shape[1]
+    cols = config.cols(n)
     seeds = range(config.seed, config.seed + config.n_trials)
-    sim = _median_of_trials(w, numerical_rank(w), config.rows(), config.cols(w.shape[1]),
-                            config.target_rank, seeds,
-                            lambda r_rows, svd: simgen.threshold_volumetric(
-                                _pinv_from_svd(*svd) @ r_rows, config.m_subspaces))
+    sim = _median_of_trials(w, numerical_rank(w), config.rows(), cols, config.target_rank, seeds,
+                            functools.partial(_proto_grams, config.m_subspaces, cols, n))
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 
@@ -189,7 +214,8 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
         rank_seed = config.seed + 1000 * rank_index
         seeds = range(rank_seed, rank_seed + config.n_trials)
-        sim = _median_of_trials(w, rank_w, r, n, r, seeds, _rcur_factor)
+        sim = _median_of_trials(w, rank_w, r, n, r, seeds,
+                                functools.partial(_factor_grams, _rcur_factor, n))
         simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
         labels = _cluster.spectral_cluster(sim, m_subspaces, rank_seed)
         ncut = _cluster.ncut_value(sim, labels)

@@ -114,33 +114,46 @@ def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
     return binarize(square @ q) if p % 2 else square
 
 
-def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
-    """Keep the ceil((1 - 1/M) * k * n) largest-magnitude entries of `y`, zero the rest, in place.
+def threshold_volumetric(y: np.ndarray, m_subspaces: int, scratch: np.ndarray) -> np.ndarray:
+    """The ceil((1 - 1/M) * k * n) largest-magnitude entries of k x n `y` in float32, others +0.0.
 
-    Returns the same array.  One in-place partition of a scratch |y| finds
-    the cut value; |y| is then written back over the scratch, every entry
-    above the cut is kept, then the entries equal to it in row-major order
-    until the count is reached, so ties at the cut are broken by earliest
-    row-major position.  Dropped entries become +0.0: they are zeroed by a
-    multiply with the keep mask, three times faster than a masked store,
-    so `y` must be finite, as the trial loop's coefficient matrices are (a
-    dropped inf would become NaN).  M = 1 is degenerate (the formula would
-    keep nothing) and returns `y` unchanged.
+    `y` is only read.  `scratch`, a C-contiguous float64 array of `y`'s
+    shape, is the caller's workspace, so that a trial loop can reuse it;
+    its contents on entry do not matter.  The result F is a float32 view
+    of its first half.  One in-place partition of |y| in `scratch` finds
+    the cut value; the spent |y|'s second half then holds a keep mask
+    (and the masks that build it: no k x n array is allocated), which
+    marks every entry with |y| >= cut and then unmarks the surplus
+    ties (entries equal to the cut past the count), latest row-major
+    position first, so ties at the cut go to the earliest row-major
+    positions, as a stable sort of -|y| would.  F is `y` rounded to
+    float32, its bit patterns then multiplied by the mask: no masked
+    store, which is three times slower.  `y` must be finite, as the trial
+    loop's coefficient matrices are.  M = 1 is degenerate (the formula
+    would keep nothing) and keeps every entry.
     """
+    size = y.size
+    raw = scratch.reshape(-1)
+    out = raw.view(np.float32)[:size].reshape(y.shape)
     if m_subspaces == 1:
-        return y
-    keep = math.ceil((1.0 - 1.0 / m_subspaces) * y.size)
-    mag = np.abs(y)
-    flat = mag.ravel("K")  # a view, in whatever layout np.abs chose: no flattened copy
-    flat.partition(y.size - keep)
-    cut = flat[y.size - keep]
-    np.abs(y, out=mag)
-    mask = mag > cut
-    ties = np.flatnonzero(mag == cut)
-    mask.flat[ties[: keep - np.count_nonzero(mask)]] = True
-    np.multiply(y, mask, out=y)
-    y += 0.0  # a dropped negative entry is -0.0 after the multiply; -0.0 + 0.0 is +0.0
-    return y
+        np.copyto(out, y)
+        return out
+    count = math.ceil((1.0 - 1.0 / m_subspaces) * size)
+    np.abs(y, out=scratch)
+    raw.partition(size - count)
+    cut = raw[size - count]
+    # the spent |y|'s bytes past F's hold three masks; |y| >= cut is y >= cut or y <= -cut
+    keep, below, spare = raw.view(bool)[4 * size : 7 * size].reshape(3, *y.shape)
+    np.greater_equal(y, cut, out=keep)
+    np.logical_or(keep, np.less_equal(y, -cut, out=below), out=keep)
+    surplus = np.count_nonzero(keep) - count
+    if surplus:  # the cut value repeats, as in a mirrored pair: `below` marks |y| == cut
+        np.logical_or(np.equal(y, cut, out=below), np.equal(y, -cut, out=spare), out=below)
+        keep.flat[np.flatnonzero(below)[-surplus:]] = False
+    np.copyto(out, y)
+    bits = out.view(np.int32)
+    np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0, never -0.0
+    return out
 
 
 def upper_triangle(n: int) -> np.ndarray:

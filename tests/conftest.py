@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curcluster import random_union_model, sample_instance
+from curcluster import random_union_model, sample_instance, simgen
 
 
 def union_instance(seed, m=30, max_subspaces=4, max_dim=4, extra_points=3, sigma=0.0):
@@ -26,6 +26,11 @@ def pack(mats):
     """Upper triangles of k symmetric n x n matrices, one row each: the median's packed stack."""
     mats = np.asarray(mats, dtype=float)
     return mats[(slice(None), *np.triu_indices(mats.shape[1]))]
+
+
+def threshold(y, m):
+    """`simgen.threshold_volumetric` in a fresh workspace of y's shape: y's float32 F."""
+    return simgen.threshold_volumetric(y, m, np.empty(y.shape))
 
 
 @pytest.fixture

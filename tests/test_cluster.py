@@ -67,6 +67,13 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=5)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("n, k", [(6, 3), (3, 3), (10, 4), (50, 5)])
+    def test_identical_points_fill_every_cluster(self, n, k):
+        # every repair of an empty cluster takes a point from a cluster with more than one;
+        # an emptied cluster would warn "Mean of empty slice" (an error in this suite)
+        labels = kmeans(np.zeros((n, 2)), k, seed=0).labels
+        assert np.bincount(labels, minlength=k).min() >= 1
+
 
 class TestSpectralCluster:
     def test_two_blocks(self):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import pack, union_instance
+from conftest import pack, threshold, union_instance
 from curcluster import cli, cluster, cur, linalg, pipeline, simgen, synth
 from curcluster.cluster import LabelVector, clustering_error, ncut_value
 from curcluster.cur import SelectionFailed
@@ -387,6 +388,54 @@ class TestPackedStack:
         assert matrices < 3.5, f"{matrices:.2f} n x n float64 arrays beside the float32 stack"
 
 
+class TestTrialWorkspace:
+    """proto's trials reuse one workspace: Y and the Gram matrix share a buffer, |Y| and F another."""
+
+    @staticmethod
+    def draw(k, n, seed):
+        model = random_union_model(30, [4, 4, 4], seed=80)
+        w = sample_instance(model, [n // 3] * 3, 0.01, seed=81).data
+        rows, _, svd = cur._sample(w, 12, k, 12, seed)
+        return w[rows], svd
+
+    # proto_n1200's trial is 1200 x 1200; cols_per_trial = 100 gives a 100 x 300 Y
+    @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (100, 300)])
+    def test_gram_in_shared_buffer_matches_fresh(self, k, n):
+        trial = pipeline._proto_grams(3, k, n)
+        for seed in (0, 1):  # the second trial runs in the first one's workspace
+            r_rows, svd = self.draw(k, n, seed)
+            gram = trial(r_rows, svd)
+            f = threshold(linalg._pinv_from_svd(*svd) @ r_rows, 3)
+            fresh = np.empty((n, n), dtype=np.float32)
+            np.matmul(f.T, f, out=fresh)
+            assert gram.dtype == np.float32
+            np.testing.assert_array_equal(gram.view(np.uint32), fresh.view(np.uint32))
+            assert np.array_equal(gram, gram.T)
+
+    def test_trial_allocates_no_n_by_n_array(self):
+        n = 300
+        trial = pipeline._proto_grams(3, n, n)
+        draws = [self.draw(n, n, seed) for seed in range(3)]
+        trial(*draws[0])
+        tracemalloc.start()
+        try:
+            for r_rows, svd in draws:
+                trial(r_rows, svd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n, f"peak {peak / (4 * n * n):.2f} float32 n x n arrays"
+
+    def test_one_threshold_per_trial(self, monkeypatch):
+        calls = []
+        kernel = simgen.threshold_volumetric
+        monkeypatch.setattr(simgen, "threshold_volumetric",
+                            lambda *args: calls.append(1) or kernel(*args))
+        w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
+        proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=7))
+        assert len(calls) == 7
+
+
 class TestPinOnce:
     """Pinning the median's diagonal gives what pinning every trial's diagonal gave."""
 
@@ -400,8 +449,8 @@ class TestPinOnce:
         trials = []
         for seed in range(cfg.seed, cfg.seed + n_trials):
             rows, _, svd = cur._sample(w, cfg.rows(), n, required, seed)
-            y = proto_factor(3)(w[rows], svd).astype(np.float32)  # the loop's float32 Grams
-            trials.append(simgen.enforce_diagonal(y.T @ y))
+            f = proto_factor(3)(w[rows], svd)  # float32, as the loop's Gram products
+            trials.append(simgen.enforce_diagonal(f.T @ f))
         med = np.abs(np.median(np.array(trials), axis=0)).astype(np.float64)
 
         pins = []
@@ -414,7 +463,7 @@ class TestPinOnce:
 
 def proto_factor(m):
     """proto's per-trial factor, as `proto_similarity` builds it: Y = pinv(U) R, thresholded."""
-    return lambda r_rows, svd: simgen.threshold_volumetric(linalg._pinv_from_svd(*svd) @ r_rows, m)
+    return lambda r_rows, svd: threshold(linalg._pinv_from_svd(*svd) @ r_rows, m)
 
 
 def full_stack_median(w, rows, target_rank, seeds, factor):
@@ -440,7 +489,7 @@ class TestGramExactlySymmetric:
     SHAPES = [(k, n) for k in (2, 12, 14) for n in (150, 300)] + [(150, 150)]
     TRANSFORMS = pytest.mark.parametrize("transform", [
         normalize_columns,
-        lambda y: simgen.threshold_volumetric(y, 3),
+        lambda y: threshold(y, 3),
     ], ids=["normalize", "threshold"])
 
     @staticmethod
@@ -510,8 +559,9 @@ class TestPackedMatchesFullStack:
 
 
 class TestFloat32RankCutoff:
-    """pcc's rank cutoff (RANK_TOL * n relative) sits below float32 resolution: a float32 median
-    of rank below M keeps pcc's labels, or its error, from the float64 median."""
+    """pcc's rank cutoff (n * 2^-23 relative) sits at float32 resolution: a float32 median of
+    rank below M gives pcc the coordinates, and so the labels or the error, of the float64
+    median."""
 
     @staticmethod
     def medians(n, coords):
@@ -521,7 +571,8 @@ class TestFloat32RankCutoff:
         w[1] += np.arange(n)
         factor = lambda r_rows, svd: svd[0].T @ coords.T
         seeds = range(7)
-        packed = pipeline._median_of_trials(w, 2, 2, n, 2, seeds, factor)
+        packed = pipeline._median_of_trials(w, 2, 2, n, 2, seeds,
+                                            functools.partial(pipeline._factor_grams, factor, n))
         trials = []
         for seed in seeds:
             _, _, svd = cur._sample(w, 2, n, 2, seed)
@@ -530,21 +581,27 @@ class TestFloat32RankCutoff:
         med = np.abs(np.median(trials, axis=0))
         return packed, simgen.SimilarityMatrix(entries=0.5 * (med + med.T))
 
-    # at n = 30 the float32 median's third |lambda| (1e-8 relative) passes the cutoff and
-    # pcc takes a round-off coordinate; at 90 it does not; at 300 pcc's subspace iteration
-    # declines the rank-2 matrix on both sides and eigh decides
+    # at n = 30 the float32 median's third |lambda| is 1e-8 relative, above RANK_TOL * n
+    # (3e-9) but below n * 2^-23 (3.6e-6); at 300 pcc's subspace iteration declines the
+    # rank-2 matrix on both sides and eigh decides
     @pytest.mark.parametrize("n", [30, 90, 300])
-    def test_rank_two_median_three_clusters(self, n):
+    def test_rank_two_median_three_clusters(self, monkeypatch, n):
         # three blobs within 90 degrees of each other (so the Gram is nonnegative)
         rng = np.random.default_rng(n)
         angles = np.deg2rad(np.repeat([10.0, 45.0, 80.0], n // 3) + rng.uniform(-5, 5, n))
         coords = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(1, 1.2, (n, 1))
         packed, reference = self.medians(n, coords)
         singulars = np.sort(np.abs(np.linalg.eigvalsh(reference.entries)))[::-1]
-        assert singulars[2] <= cluster._rank_cutoff(singulars, (n, n))  # rank 2 < M = 3
+        assert singulars[2] <= linalg._rank_cutoff(singulars, (n, n))  # rank 2 < M = 3
+        widths = []
+        kmeans = cluster.kmeans
+        monkeypatch.setattr(cluster, "kmeans",
+                            lambda points, m, seed: widths.append(points.shape[1])
+                            or kmeans(points, m, seed))
         labels = cluster.pcc_cluster(packed, 3, seed=0).labels
         np.testing.assert_array_equal(labels, cluster.pcc_cluster(reference, 3, seed=0).labels)
         np.testing.assert_array_equal(np.bincount(labels), [n // 3] * 3)
+        assert widths == [2, 2]  # the float32 median's round-off coordinate is dropped
 
     def test_zero_median_same_error(self):
         packed, reference = self.medians(90, np.zeros((90, 2)))

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curcluster import cli, synth
+from curcluster import cli, simgen, synth
 from curcluster.cluster import LabelVector, clustering_error
+from curcluster.pipeline import ProtoConfig, proto_similarity
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "ablate_8c.py"
@@ -50,6 +51,19 @@ def test_every_variant_names_what_exists(ablate):
 
 def test_spectral_reference_matches_library(ablate):
     ablate.check_spectral_reference()
+
+
+def test_threshold_variants_reach_proto(ablate, monkeypatch):
+    # proto's trials look simgen.threshold_volumetric up at call time, so a variant is used;
+    # the shipped share with earliest ties is the library's rule, bit for bit
+    model = synth.random_union_model(30, (3, 3, 3), 0)
+    w = synth.sample_instance(model, (10, 10, 10), 0.05, 1).data
+    cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=5)
+    shipped = proto_similarity(w, cfg).entries
+    monkeypatch.setattr(simgen, "threshold_volumetric", ablate.threshold(ablate.shipped_keep))
+    np.testing.assert_array_equal(proto_similarity(w, cfg).entries, shipped)
+    monkeypatch.setattr(simgen, "threshold_volumetric", ablate.threshold(ablate.minority_keep))
+    assert not np.array_equal(proto_similarity(w, cfg).entries, shipped)
 
 
 def test_every_probe_target_exists():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pack, union_instance
+from conftest import pack, threshold, union_instance
 from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
@@ -141,37 +141,51 @@ class TestSimilarityNoiseFree:
 class TestThresholdVolumetric:
     def test_single_subspace_unchanged(self, rng):
         y = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(threshold_volumetric(y.copy(), 1), y)
+        np.testing.assert_array_equal(threshold(y, 1), y.astype(np.float32))
 
     def test_two_by_two_keeps_top_half(self):
         y = np.array([[4.0, -3.0], [2.0, 1.0]])
-        np.testing.assert_array_equal(
-            threshold_volumetric(y, 2), [[4.0, -3.0], [0.0, 0.0]]
-        )
+        np.testing.assert_array_equal(threshold(y, 2), [[4.0, -3.0], [0.0, 0.0]])
 
     def test_sparse_fixed_point(self):
         y = np.array([[5.0, 0.0], [0.0, 3.0]])  # already half-sparse
-        np.testing.assert_array_equal(threshold_volumetric(y.copy(), 2), y)
+        np.testing.assert_array_equal(threshold(y, 2), y)
 
     def test_tie_break_row_major(self):
         y = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out = threshold_volumetric(y, 2)
-        np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(threshold(y, 2), [[1.0, 1.0], [0.0, 0.0]])
 
     def test_dropped_entries_are_positive_zero(self, rng):
         y = -np.abs(rng.standard_normal((30, 40)))  # every entry negative
-        out = threshold_volumetric(y, 3)
+        out = threshold(y, 3)
         dropped = out == 0.0
         assert np.count_nonzero(dropped) == y.size - math.ceil((1 - 1 / 3) * y.size)
         assert not np.signbit(out[dropped]).any()
 
     @pytest.mark.parametrize("m", [1, 3])
-    def test_in_place(self, rng, m):
+    def test_writes_into_scratch(self, rng, m):
+        # y is only read; F is float32 in the scratch's first half
         y = rng.standard_normal((12, 40))
-        expected = stable_sort_threshold(y, m)
-        out = threshold_volumetric(y, m)
-        assert out is y
-        np.testing.assert_array_equal(y, expected)
+        before = y.copy()
+        scratch = np.empty(y.shape)
+        out = threshold_volumetric(y, m, scratch)
+        assert out.dtype == np.float32 and out.shape == y.shape
+        assert np.shares_memory(out, scratch)
+        np.testing.assert_array_equal(y, before)
+        np.testing.assert_array_equal(out, stable_sort_threshold(y, m).astype(np.float32))
+
+    def test_ties_allocate_no_k_by_n_array(self):
+        # a repeated cut value takes the surplus-tie path, which works in the scratch too
+        y = np.round(np.random.default_rng(3).standard_normal((300, 300)), 1)
+        scratch = np.empty(y.shape)
+        tracemalloc.start()
+        try:
+            out = threshold_volumetric(y, 3, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.size, f"peak {peak / y.size:.2f} bool k x n arrays"
+        np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
 
 
 def stable_sort_threshold(y, m_subspaces):
@@ -189,13 +203,22 @@ def stable_sort_threshold(y, m_subspaces):
 
 
 class TestThresholdMatchesStableSort:
-    """The partition threshold gives the stable-argsort result, sign bits included."""
+    """The partition threshold gives the stable-argsort result in float32, sign bits included.
+
+    Each case runs in a fresh workspace and again in the same workspace, left dirty by a
+    threshold of other values, as the trial loop reuses it.
+    """
 
     @staticmethod
     def check(y, m):
-        out, ref = threshold_volumetric(y.copy(), m), stable_sort_threshold(y, m)
-        assert out.shape == ref.shape
-        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+        ref = stable_sort_threshold(y, m).astype(np.float32).view(np.uint32)
+        scratch = np.empty(y.shape)
+        for other in (None, y[::-1, ::-1] * 3.0):
+            if other is not None:
+                threshold_volumetric(np.ascontiguousarray(other), m, scratch)
+            out = threshold_volumetric(y, m, scratch)
+            assert out.shape == y.shape
+            np.testing.assert_array_equal(out.view(np.uint32), ref)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("seed", range(6))
