@@ -79,10 +79,11 @@ def threshold(keep_fraction, per_column=False, latest_first=False):
     Global (the shipped rule) or per column; ties at the cut go to the
     earliest row-major position, or to the latest with `latest_first`.
     It takes the library kernel's arguments and, like it, returns float32
-    F; it leaves the caller's workspace unused.
+    F; it uses the caller's workspace only to take Y from `fill`.
     """
 
-    def apply(y, m_subspaces, scratch):
+    def apply(fill, m_subspaces, y):
+        fill(y)
         mag = np.abs(y)
         if per_column:
             keep = math.ceil(keep_fraction(m_subspaces) * y.shape[0])

@@ -64,7 +64,8 @@ def load_csv(path) -> DatasetFile:
     if not path.is_file():
         raise DataError(f"{path}: no such file")
     rows = []
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export puts first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -90,7 +91,7 @@ def load_csv(path) -> DatasetFile:
     lpath = labels_path(path)
     if lpath.is_file():
         values = []
-        with open(lpath) as fh:
+        with open(lpath, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -302,7 +303,7 @@ def _load_manifest(path) -> dict:
     if not path.is_file():
         raise DataError(f"{path}: no such manifest")
     entries = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -118,20 +118,20 @@ def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, make_trial):
     the Gram products are float32, the median float64.  A float32 inner product of length n
     errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200
     in the worst case, far below the noise level at which the trials' median varies.  Each
-    trial's upper triangle is gathered into its row of the stack; the index and the workspace
-    go before the median, which partitions the stack in place.
+    trial's upper triangle is folded into its row of the stack (`simgen.folder`: three block
+    copies, no index); the workspace goes before the median, which partitions the stack in
+    place.
     """
     required = _required_rank(target_rank, rows, cols, rank_w)
     n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
     stack = np.empty((len(seeds), n * (n + 1) // 2), dtype=np.float32)
-    upper = simgen.upper_triangle(n)
+    fold = simgen.folder(n)
     trial = make_trial()
     for i, seed in enumerate(seeds):
         row_indices, _, svd = _sample(w, rows, cols, required, seed)
-        # indices in range; mode "raise" would buffer `out`
-        np.take(trial(w[row_indices], svd), upper, out=stack[i], mode="clip")
-    del upper, trial
+        fold(trial(w[row_indices], svd), stack[i])
+    del fold, trial
     return simgen.median_aggregate(stack)
 
 
@@ -149,21 +149,21 @@ def _factor_grams(factor, n):
 def _proto_grams(m_subspaces, k, n):
     """proto's trial function and its workspace, allocated once: no n x n array per trial.
 
-    The trial writes Y = pinv(U) R (k x n float64) into a buffer of max(8kn, 4n^2) bytes,
-    thresholds it with `simgen.threshold_volumetric` (looked up at call time), whose float32 F
-    and keep mask land in the bytes of its k x n float64 scratch |Y|, and writes F.T F (n x n
-    float32) over Y's bytes.  F's lifetime begins after |Y|'s ends, and the Gram matrix's after
-    Y's, so each pair shares its bytes: the workspace is max(8kn, 4n^2) + 8kn bytes, 16n^2 at
-    proto's default k = n (23 MB at n = 1200).
+    One buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take
+    Y = pinv(U) R (k x n float64), which `simgen.threshold_volumetric` (looked up at call time)
+    writes, as often as it needs, with the same `np.matmul(..., out=)` call, so with the same
+    bits.  The threshold writes F (k x n float32) over the first 4kn bytes, rows of Y already
+    spent, and F.T F (n x n float32) goes into the bytes after F.  The workspace is 8n^2 bytes
+    at proto's default k = n (11.5 MB at n = 1200).
     """
-    buffer = np.empty(max(k * n, (n * n + 1) // 2))
+    buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
-    gram = buffer.view(np.float32)[: n * n].reshape(n, n)
-    scratch = np.empty((k, n))
+    gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
 
     def trial(r_rows, svd):
-        np.matmul(_pinv_from_svd(*svd), r_rows, out=y)
-        f = simgen.threshold_volumetric(y, m_subspaces, scratch)
+        pinv_u = _pinv_from_svd(*svd)
+        f = simgen.threshold_volumetric(lambda out: np.matmul(pinv_u, r_rows, out=out),
+                                        m_subspaces, y)
         return np.matmul(f.T, f, out=gram)
 
     return trial

@@ -30,6 +30,10 @@ KINDS = ("binary", "absolute")
 #: rows per block of the symmetry check; bounds its temporaries to ~2 blocks
 SYMMETRY_BLOCK = 128
 
+#: bytes of Y per row block of the threshold's keep pass (27 rows at n = 1200, all 150 rows at
+#: n = 150); its temporaries stay below about one block
+THRESHOLD_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
@@ -114,70 +118,107 @@ def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
     return binarize(square @ q) if p % 2 else square
 
 
-def threshold_volumetric(y: np.ndarray, m_subspaces: int, scratch: np.ndarray) -> np.ndarray:
-    """The ceil((1 - 1/M) * k * n) largest-magnitude entries of k x n `y` in float32, others +0.0.
+def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
+    """The ceil((1 - 1/M) * k * n) largest-magnitude entries of Y in float32, others +0.0.
 
-    `y` is only read.  `scratch`, a C-contiguous float64 array of `y`'s
-    shape, is the caller's workspace, so that a trial loop can reuse it;
-    its contents on entry do not matter.  The result F is a float32 view
-    of its first half.  One in-place partition of |y| in `scratch` finds
-    the cut value; the spent |y|'s second half then holds a keep mask
-    (and the masks that build it: no k x n array is allocated), which
-    marks every entry with |y| >= cut and then unmarks the surplus
-    ties (entries equal to the cut past the count), latest row-major
-    position first, so ties at the cut go to the earliest row-major
-    positions, as a stable sort of -|y| would.  F is `y` rounded to
-    float32, its bit patterns then multiplied by the mask: no masked
-    store, which is three times slower.  `y` must be finite, as the trial
-    loop's coefficient matrices are.  M = 1 is degenerate (the formula
-    would keep nothing) and keeps every entry.
+    `y` is the caller's C-contiguous k x n float64 workspace, so that a
+    trial loop can reuse it; its contents on entry do not matter.
+    `fill(y)` writes Y into it, and must write the same bits each time it
+    is called: it is called twice, once to find the cut and once to apply
+    it.  The result F is a float32 view of `y`'s first half.
+
+    Y's magnitudes are partitioned in place to find the cut value.  Entries
+    that equal it but fell below it in the partition are surplus ties: a
+    stable sort of -|Y| keeps the earliest row-major entries equal to the
+    cut.  With Y written again, each row block of `THRESHOLD_BLOCK` bytes
+    keeps every entry with |Y| >= cut and, while surplus ties are left,
+    drops those past the count.  A block's F goes over rows of Y already
+    spent (numpy buffers the first block's overlap), so every temporary is
+    a row block.  F is Y rounded to float32, its bit patterns then
+    multiplied by the keep mask: a dropped entry is +0.0, never -0.0, and
+    no masked store, which is three times slower.  Y must be finite, as the
+    trial loop's coefficient matrices are.  M = 1 is degenerate (the
+    formula would keep nothing) and keeps every entry.
     """
+    fill(y)
     size = y.size
-    raw = scratch.reshape(-1)
+    raw = y.reshape(-1)
     out = raw.view(np.float32)[:size].reshape(y.shape)
-    if m_subspaces == 1:
-        np.copyto(out, y)
-        return out
-    count = math.ceil((1.0 - 1.0 / m_subspaces) * size)
-    np.abs(y, out=scratch)
-    raw.partition(size - count)
-    cut = raw[size - count]
-    # the spent |y|'s bytes past F's hold three masks; |y| >= cut is y >= cut or y <= -cut
-    keep, below, spare = raw.view(bool)[4 * size : 7 * size].reshape(3, *y.shape)
-    np.greater_equal(y, cut, out=keep)
-    np.logical_or(keep, np.less_equal(y, -cut, out=below), out=keep)
-    surplus = np.count_nonzero(keep) - count
-    if surplus:  # the cut value repeats, as in a mirrored pair: `below` marks |y| == cut
-        np.logical_or(np.equal(y, cut, out=below), np.equal(y, -cut, out=spare), out=below)
-        keep.flat[np.flatnonzero(below)[-surplus:]] = False
-    np.copyto(out, y)
-    bits = out.view(np.int32)
-    np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0, never -0.0
+    count = size if m_subspaces == 1 else math.ceil((1.0 - 1.0 / m_subspaces) * size)
+    cut, surplus, ties = -1.0, 0, 0  # keeps every entry
+    if count < size:
+        np.abs(raw, out=raw)
+        raw.partition(size - count)
+        cut = raw[size - count]
+        surplus = _count_blocks(raw[: size - count], lambda v: v == cut)
+        if surplus:  # the cut repeats past the count: keep only the ties within it
+            ties = count - _count_blocks(raw[size - count + 1 :], lambda v: v > cut)
+        fill(y)
+    rows = max(1, THRESHOLD_BLOCK // (8 * y.shape[1]))
+    for i in range(0, y.shape[0], rows):
+        block = y[i : i + rows]
+        keep = np.greater_equal(block, cut)  # |y| >= cut is y >= cut or y <= -cut
+        np.logical_or(keep, np.less_equal(block, -cut), out=keep)
+        if surplus:
+            tied = np.flatnonzero((block == cut) | (block == -cut))
+            dropped = tied[ties : ties + surplus]
+            keep.flat[dropped] = False
+            ties = max(0, ties - tied.size)
+            surplus -= dropped.size
+        f = out[i : i + rows]
+        np.copyto(f, block)
+        bits = f.view(np.int32)
+        np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
     return out
 
 
-def upper_triangle(n: int) -> np.ndarray:
-    """Row-major flat indices of an n x n matrix's upper triangle: the packed stack's columns.
+def _count_blocks(values: np.ndarray, test) -> int:
+    """Entries of flat `values` that pass `test`, taken `THRESHOLD_BLOCK` bytes at a time."""
+    step = THRESHOLD_BLOCK // values.itemsize
+    return sum(np.count_nonzero(test(values[j : j + step])) for j in range(0, values.size, step))
 
-    Taken from an n x n boolean mask, so the only int64 array is the result.
+
+def folder(n: int):
+    """The function that packs a symmetric n x n matrix's upper triangle into one stack row.
+
+    `fold(g, row)` views `row` (n(n+1)/2 entries) as a (2h + 1) x c array P,
+    h = n // 2, c = n - h, and writes three blocks of g into it, with no
+    index: P[:h+1] = g[:h+1, h:] (every pair with one end at most h and one
+    at least h); P[h+1:] = g[:h, :c], whose lower triangle, diagonal
+    included, holds the pairs within the first h; and g[h+1:, h:]'s strict
+    upper triangle, the pairs within the last c - 1, goes over P[h+1:h+c]'s
+    strict upper triangle.  Since g = g.T exactly, P holds each entry of the
+    upper triangle once, for either parity of n (Gustavson et al. 2010's
+    rectangular full packed format).  `median_aggregate` unfolds it.  The
+    strict-upper mask is made once, here.
     """
-    return np.flatnonzero(~np.tri(n, k=-1, dtype=bool))
+    h = n // 2
+    c = n - h
+    strict_upper = ~np.tri(c - 1, c, dtype=bool)
+
+    def fold(gram, row):
+        p = row.reshape(2 * h + 1, c)
+        p[: h + 1] = gram[: h + 1, h:]
+        p[h + 1 :] = gram[:h, :c]
+        np.copyto(p[h + 1 : h + c], gram[h + 1 :, h:], where=strict_upper)
+
+    return fold
 
 
 def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     """Entrywise median of k symmetric n x n matrices, then absolute value.
 
     `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
-    i's upper triangle, in `upper_triangle(n)` order; the trial loop's is
-    float32.  It is partitioned in place, scrambling it, and its row k // 2
-    ends up holding the median, in the stack's dtype.  The median, taken
-    once per upper-triangle entry, is mirrored into a symmetric float64
-    matrix one row of the triangle at a time, which needs no flat index.
-    An even count averages the middle two.  One partition at k // 2 finds
-    it: for an even count the lower middle is then the largest entry of
-    the rows below k // 2.  The stack must be finite, as the trial loop's
-    Gram products are: unlike `np.median`, the partition does not turn a
-    NaN trial into a NaN median.
+    i's upper triangle, folded by `folder(n)`; the trial loop's is float32.
+    It is partitioned in place, scrambling it, and its row k // 2 ends up
+    holding the median, in the stack's dtype.  The median, taken once per
+    upper-triangle entry, is unfolded into a symmetric float64 matrix block
+    by block, each block and its mirror copied from the folded row: no
+    index and no loop over rows.  An even count averages the middle two.
+    One partition at k // 2 finds it: for an even count the lower middle
+    is then the largest entry of the rows below k // 2.  The stack must be
+    finite, as the trial loop's Gram products are: unlike `np.median`, the
+    partition does not turn a NaN trial into a NaN median.
     """
     k = stack.shape[0]
     stack.partition(k // 2, axis=0)
@@ -187,11 +228,18 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
         mid /= 2
     np.abs(mid, out=mid)
     n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
+    h = n // 2
+    c = n - h
+    p = mid.reshape(2 * h + 1, c)  # the folded row, as `folder(n)` wrote it
     med = np.empty((n, n))
-    start = 0
-    for i in range(n):  # row i of the upper triangle is mid's next n - i entries
-        med[i, i:] = med[i:, i] = mid[start : start + n - i]
-        start += n - i
+    med[: h + 1, h:] = p[: h + 1]
+    med[h:, : h + 1] = p[: h + 1].T
+    first = p[h + 1 :, :h]  # the pairs within the first h, in its lower triangle
+    np.copyto(med[:h, :h], first)
+    np.copyto(med[:h, :h], first.T, where=np.tri(h, k=-1, dtype=bool).T)
+    last = p[h + 1 : h + c, 1:]  # the pairs within the last c - 1, in its upper triangle
+    np.copyto(med[h + 1 :, h + 1 :], last)
+    np.copyto(med[h + 1 :, h + 1 :], last.T, where=np.tri(c - 1, k=-1, dtype=bool))
     return SimilarityMatrix(entries=med)
 
 

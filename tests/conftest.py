@@ -23,14 +23,19 @@ def union_instance(seed, m=30, max_subspaces=4, max_dim=4, extra_points=3, sigma
 
 
 def pack(mats):
-    """Upper triangles of k symmetric n x n matrices, one row each: the median's packed stack."""
+    """Upper triangles of k symmetric n x n matrices, one folded row each: the median's stack."""
     mats = np.asarray(mats, dtype=float)
-    return mats[(slice(None), *np.triu_indices(mats.shape[1]))]
+    n = mats.shape[1]
+    stack = np.empty((len(mats), n * (n + 1) // 2))
+    fold = simgen.folder(n)
+    for mat, row in zip(mats, stack):
+        fold(mat, row)
+    return stack
 
 
 def threshold(y, m):
-    """`simgen.threshold_volumetric` in a fresh workspace of y's shape: y's float32 F."""
-    return simgen.threshold_volumetric(y, m, np.empty(y.shape))
+    """`simgen.threshold_volumetric` of y in a fresh workspace of y's shape: y's float32 F."""
+    return simgen.threshold_volumetric(lambda out: np.copyto(out, y), m, np.empty(y.shape))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ class TestClusterCommand:
         assert code == 0
         assert "clustering error: 0%" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--algo", "exact"],
+                                       ["--algo", "proto", "--M", "2", "--rank", "8"]])
+    def test_byte_order_mark_is_ignored(self, dataset, tmp_path, monkeypatch, flags):
+        # a spreadsheet's "CSV UTF-8" export starts the data and labels files with EF BB BF
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            folder = tmp_path / name
+            folder.mkdir()
+            for source in (dataset, labels_path(dataset)):
+                (folder / source.name).write_bytes(prefix + source.read_bytes())
+            monkeypatch.chdir(folder)
+            assert main(["cluster", dataset.name, "--out", "run"] + flags) == 0
+            (row,) = csv.DictReader(open("run.report.csv"))
+            del row["seconds"]
+            outputs.append((Path("run.labels").read_bytes(), row))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]["error_pct"] == "0"
+
     def test_missing_flag_is_usage_error(self, dataset):
         with pytest.raises(SystemExit) as exc:
             main(["cluster", str(dataset), "--algo", "proto", "--M", "2"])
@@ -418,6 +437,24 @@ class TestBenchCommand:
         code = main(["bench", "--dir", str(empty), "--out",
                      str(tmp_path / "r.csv"), "--algo", "exact"])
         assert code == 3
+
+    def test_manifest_byte_order_mark_is_ignored(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts the manifest with EF BB BF
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        main(["synth", "--case", "1", "--sigma", "0", "--points", "6", "--ambient", "25",
+              "--out", str(bench / "d.csv")])
+        reports = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            manifest = tmp_path / f"{name}.manifest"
+            manifest.write_bytes(prefix + b"d.csv,lines,2\n")
+            report = tmp_path / f"{name}.csv"
+            assert main(["bench", "--dir", str(bench), "--manifest", str(manifest),
+                         "--out", str(report), "--algo", "proto", "--rank", "8"]) == 0
+            (row,) = csv.DictReader(report.open())
+            del row["seconds"]
+            reports.append(row)
+        assert reports[0] == reports[1]
 
     def test_bad_manifest_exits_three(self, tmp_path, capsys):
         bench = tmp_path / "bench"

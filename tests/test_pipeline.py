@@ -340,7 +340,7 @@ class TestTrialLoopOwnsStack:
         assert peak < 1.5 * stack_bytes, f"peak {peak / stack_bytes:.2f} stacks"
 
     def test_proto_holds_two_matrices_beside_the_stack(self):
-        # the stack, its index, Y and the threshold's scratch |Y|, masks: 2.75 n x n past the stack
+        # the stack, the trial workspace and the median with its validation: 2.1 n x n past it
         model = random_union_model(60, [4, 4, 4], seed=60)
         w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
         n = w.shape[1]
@@ -373,7 +373,7 @@ class TestPackedStack:
         assert max(peaks) < 1.0, f"peaks {peaks[0]:.2f} and {peaks[1]:.2f} stacks"
 
     def test_proto_stack_is_float32(self):
-        # past a float32 packed stack: its index, Y, the threshold's scratch |Y| and masks, 2.8
+        # past a float32 packed stack: the median, its validation and the trial workspace, 2.1
         # n x n float64 arrays; a float64 stack put 9.1 there
         model = random_union_model(60, [4, 4, 4], seed=60)
         w = sample_instance(model, [100, 100, 100], 0.01, seed=61).data
@@ -389,7 +389,7 @@ class TestPackedStack:
 
 
 class TestTrialWorkspace:
-    """proto's trials reuse one workspace: Y and the Gram matrix share a buffer, |Y| and F another."""
+    """proto's trials reuse one buffer: Y, then F over spent rows of Y, and the Gram matrix after F."""
 
     @staticmethod
     def draw(k, n, seed):
@@ -425,6 +425,21 @@ class TestTrialWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n, f"peak {peak / (4 * n * n):.2f} float32 n x n arrays"
+
+    def test_proto_peak_below_stack_and_one_and_three_quarter_matrices(self):
+        # the trial workspace is one 8n^2-byte buffer and the folded stack needs no index, so
+        # the trial loop peaks at 1.15 here; the median and its validation set the peak, 1.5
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        w = sample_instance(model, [200, 200, 200], 0.01, seed=61).data
+        n = w.shape[1]
+        tracemalloc.start()
+        try:
+            proto_similarity(w, ProtoConfig(3, 12, n_trials=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = (peak - 25 * n * (n + 1) // 2 * 4) / (n * n * 8)
+        assert matrices < 1.75, f"{matrices:.2f} n x n float64 arrays beside the float32 stack"
 
     def test_one_threshold_per_trial(self, monkeypatch):
         calls = []
@@ -681,8 +696,29 @@ def exact_instances(draw):
     return w, max(dims), draw(st.permutations(range(w.shape[1])))
 
 
+@st.composite
+def near_rank_instances(draw):
+    """Noise-free union data with n close to its rank: d + 1 or d + 2 points per d-dim subspace.
+
+    M in [1, 4] subspaces of dimension 1-4, in an ambient space from their dimension sum (the
+    subspaces fill it) up to 39.
+    """
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    points = [d + draw(st.integers(1, 2)) for d in dims]
+    seed = draw(st.integers(0, 2**16))
+    model = random_union_model(draw(st.integers(sum(dims), 39)), dims, seed)
+    return sample_instance(model, points, 0.0, seed + 1)
+
+
 class TestExactPathProperties:
     """Invariances of `cluster_noise_free`, checked on drawn instances."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(near_rank_instances())
+    def test_n_close_to_the_rank(self, instance):
+        labels = cluster_noise_free(instance.data)
+        assert labels.m_clusters == instance.model.n_subspaces
+        assert clustering_error(labels, instance.truth) == 0.0
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(exact_instances())
@@ -710,6 +746,26 @@ class TestExactPathProperties:
         labels = cluster_noise_free(w)
         permuted = LabelVector(labels=labels.labels[list(perm)], m_clusters=labels.m_clusters)
         assert clustering_error(cluster_noise_free(w[:, perm]), permuted) == 0.0
+
+
+class TestProtoProperties:
+    """Invariances of `proto`, checked on drawn Case-2 instances at n = 150."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1])
+    @settings(derandomize=True, database=None, max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_power_of_two_scale_invariant(self, sigma, seed):
+        # W * 2^e has the same pinv(U) R, so the same similarity and labels, bit for bit
+        model = random_union_model(300, synth.CASE_DIMS[2], seed)
+        w = sample_instance(model, (50, 50, 50), sigma, seed + 1).data
+        cfg = ProtoConfig(m_subspaces=3, target_rank=12, seed=seed % 7)
+        entries = proto_similarity(w, cfg).entries
+        labels = proto_cluster(w, cfg).labels
+        for e in (-30, -1, 3, 40):
+            scaled = w * 2.0**e
+            np.testing.assert_array_equal(proto_similarity(scaled, cfg).entries.view(np.uint64),
+                                          entries.view(np.uint64))
+            np.testing.assert_array_equal(proto_cluster(scaled, cfg).labels, labels)
 
 
 @st.composite

@@ -10,10 +10,12 @@ from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
     SYMMETRY_BLOCK,
+    THRESHOLD_BLOCK,
     SimilarityMatrix,
     coefficient_matrix,
     elementwise_power,
     enforce_diagonal,
+    folder,
     gram_similarity,
     median_aggregate,
     normalize_columns,
@@ -164,27 +166,30 @@ class TestThresholdVolumetric:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_writes_into_scratch(self, rng, m):
-        # y is only read; F is float32 in the scratch's first half
+        # fill writes Y into the workspace, twice unless every entry is kept; F is float32 in
+        # the workspace's first half
         y = rng.standard_normal((12, 40))
-        before = y.copy()
-        scratch = np.empty(y.shape)
-        out = threshold_volumetric(y, m, scratch)
+        fills = []
+        workspace = np.empty(y.shape)
+        out = threshold_volumetric(lambda buf: fills.append(1) or np.copyto(buf, y), m, workspace)
+        assert len(fills) == (1 if m == 1 else 2)
         assert out.dtype == np.float32 and out.shape == y.shape
-        assert np.shares_memory(out, scratch)
-        np.testing.assert_array_equal(y, before)
+        assert out.ctypes.data == workspace.ctypes.data
         np.testing.assert_array_equal(out, stable_sort_threshold(y, m).astype(np.float32))
 
     def test_ties_allocate_no_k_by_n_array(self):
-        # a repeated cut value takes the surplus-tie path, which works in the scratch too
-        y = np.round(np.random.default_rng(3).standard_normal((300, 300)), 1)
-        scratch = np.empty(y.shape)
+        # a repeated cut value takes the tie path; the partitioned tail is counted and Y kept one
+        # block of rows at a time, so the temporaries are row blocks, none of them k x n
+        y = np.round(np.random.default_rng(3).standard_normal((1200, 300)), 1)
+        workspace = np.empty(y.shape)
         tracemalloc.start()
         try:
-            out = threshold_volumetric(y, 3, scratch)
+            out = threshold_volumetric(lambda buf: np.copyto(buf, y), 3, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < y.size, f"peak {peak / y.size:.2f} bool k x n arrays"
+        assert peak < THRESHOLD_BLOCK, f"peak {peak / THRESHOLD_BLOCK:.2f} row blocks"
         np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
 
 
@@ -212,11 +217,11 @@ class TestThresholdMatchesStableSort:
     @staticmethod
     def check(y, m):
         ref = stable_sort_threshold(y, m).astype(np.float32).view(np.uint32)
-        scratch = np.empty(y.shape)
+        workspace = np.empty(y.shape)
         for other in (None, y[::-1, ::-1] * 3.0):
             if other is not None:
-                threshold_volumetric(np.ascontiguousarray(other), m, scratch)
-            out = threshold_volumetric(y, m, scratch)
+                threshold_volumetric(lambda buf: np.copyto(buf, other), m, workspace)
+            out = threshold_volumetric(lambda buf: np.copyto(buf, y), m, workspace)
             assert out.shape == y.shape
             np.testing.assert_array_equal(out.view(np.uint32), ref)
 
@@ -238,6 +243,15 @@ class TestThresholdMatchesStableSort:
     @pytest.mark.parametrize("y", [np.full((4, 7), -0.3), np.zeros((5, 5)), np.array([[2.5]])],
                              ids=["all-equal", "all-zero", "one-by-one"])
     def test_degenerate(self, y, m):
+        self.check(y, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_across_row_blocks(self, seed, m):
+        # the kept ties at the cut can run on past the first block of rows, or start after it
+        rng = np.random.default_rng(200 + seed)
+        rows = THRESHOLD_BLOCK // (8 * 9)
+        y = np.round(rng.standard_normal((2 * rows + 5, 9)), int(rng.integers(0, 2)))
         self.check(y, m)
 
 
@@ -315,6 +329,29 @@ class TestMedianAggregate:
         np.testing.assert_array_equal(median_aggregate(pack(mats)).entries, full)
 
 
+class TestFold:
+    """The folded stack row holds each upper-triangle entry once, and the median unfolds it."""
+
+    @pytest.mark.parametrize("n", [*range(1, 8), 150, 151])
+    def test_each_entry_once(self, n):
+        ids = np.zeros((n, n))
+        ids[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+        row = np.empty(n * (n + 1) // 2)
+        folder(n)(ids + np.triu(ids, 1).T, row)
+        np.testing.assert_array_equal(np.sort(row), np.arange(row.size))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [*range(1, 8), 150, 151])
+    def test_round_trip(self, rng, n, dtype):
+        a = rng.standard_normal((n, n))
+        g = (a + a.T).astype(dtype)
+        row = np.empty((1, n * (n + 1) // 2), dtype=dtype)
+        folder(n)(g, row[0])
+        entries = median_aggregate(row).entries
+        assert entries.dtype == np.float64
+        np.testing.assert_array_equal(entries, np.abs(g).astype(np.float64))
+
+
 TRIAL_COUNTS = {
     "k1": st.just(1),
     "k2": st.just(2),
@@ -350,7 +387,7 @@ class TestMedianMatchesNumpy:
         mats = data.draw(symmetric_stacks(counts))
         stack = pack(mats)
         expected = np.abs(np.median(stack, axis=0))
-        got = median_aggregate(stack).entries[np.triu_indices(mats.shape[1])]
+        got = pack([median_aggregate(stack).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("counts", [TRIAL_COUNTS["odd"], TRIAL_COUNTS["even"]],
@@ -364,21 +401,21 @@ class TestMedianMatchesNumpy:
         expected = np.abs(np.median(stack, axis=0)).astype(np.float64)
         entries = median_aggregate(stack).entries
         assert entries.dtype == np.float64
-        got = entries[np.triu_indices(mats.shape[1])]
+        got = pack([entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_many_trials(self, rng):
         # past a few dozen trials numpy's partition no longer leaves the lower middle at k // 2 - 1
         stack = pack([a + a.T for a in rng.standard_normal((400, 20, 20))])
         expected = np.abs(np.median(stack, axis=0))
-        got = median_aggregate(stack).entries[np.triu_indices(20)]
+        got = pack([median_aggregate(stack).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8])
     def test_partitions_the_stack_in_place(self, rng, k):
         stack = pack([a + a.T for a in rng.standard_normal((k, 5, 5))])
         column_sorted = np.sort(stack, axis=0)
-        median = median_aggregate(stack).entries[np.triu_indices(5)]
+        median = pack([median_aggregate(stack).entries])[0]
         # the median is formed in row k // 2; the rows around it hold a partition of the rest
         np.testing.assert_array_equal(stack[k // 2], median)
         rest = np.delete(stack, k // 2, axis=0)
