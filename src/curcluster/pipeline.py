@@ -118,20 +118,20 @@ def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, make_trial):
     the Gram products are float32, the median float64.  A float32 inner product of length n
     errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200
     in the worst case, far below the noise level at which the trials' median varies.  Each
-    trial's upper triangle is folded into its row of the stack (`simgen.folder`: three block
-    copies, no index); the workspace goes before the median, which partitions the stack in
-    place.
+    trial's upper triangle is folded into its row of the stack (`simgen.FoldedLayout`: three
+    block copies, no index); the workspace goes before the median, which partitions the stack
+    in place.
     """
     required = _required_rank(target_rank, rows, cols, rank_w)
     n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
     stack = np.empty((len(seeds), n * (n + 1) // 2), dtype=np.float32)
-    fold = simgen.folder(n)
+    layout = simgen.FoldedLayout(n)
     trial = make_trial()
     for i, seed in enumerate(seeds):
         row_indices, _, svd = _sample(w, rows, cols, required, seed)
-        fold(trial(w[row_indices], svd), stack[i])
-    del fold, trial
+        layout.fold(trial(w[row_indices], svd), stack[i])
+    del layout, trial
     return simgen.median_aggregate(stack)
 
 

@@ -31,7 +31,7 @@ KINDS = ("binary", "absolute")
 SYMMETRY_BLOCK = 128
 
 #: bytes of Y per row block of the threshold's keep pass (27 rows at n = 1200, all 150 rows at
-#: n = 150); its temporaries stay below about one block
+#: n = 150); its masks take at most a quarter of a block
 THRESHOLD_BLOCK = 1 << 18
 
 
@@ -131,14 +131,17 @@ def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
     that equal it but fell below it in the partition are surplus ties: a
     stable sort of -|Y| keeps the earliest row-major entries equal to the
     cut.  With Y written again, each row block of `THRESHOLD_BLOCK` bytes
-    keeps every entry with |Y| >= cut and, while surplus ties are left,
-    drops those past the count.  A block's F goes over rows of Y already
-    spent (numpy buffers the first block's overlap), so every temporary is
-    a row block.  F is Y rounded to float32, its bit patterns then
+    gets a keep mask: every entry with |Y| >= cut or, while surplus ties
+    are left, every entry above the cut and the ties within the count.
+    F's rows are written over rows of Y already converted, one row first
+    and then as many rows as are done, so that no row of F overlaps a row
+    of Y that is still to be read: the temporaries are the block's masks
+    and one row.  F is Y rounded to float32, its bit patterns then
     multiplied by the keep mask: a dropped entry is +0.0, never -0.0, and
-    no masked store, which is three times slower.  Y must be finite, as the
-    trial loop's coefficient matrices are.  M = 1 is degenerate (the
-    formula would keep nothing) and keeps every entry.
+    no masked store, which is three times slower.  The masks keep `count`
+    entries unless the two fills differed (RuntimeError).  Y must be
+    finite, as the trial loop's coefficient matrices are.  M = 1 is
+    degenerate (the formula would keep nothing) and keeps every entry.
     """
     fill(y)
     size = y.size
@@ -155,20 +158,35 @@ def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
             ties = count - _count_blocks(raw[size - count + 1 :], lambda v: v > cut)
         fill(y)
     rows = max(1, THRESHOLD_BLOCK // (8 * y.shape[1]))
+    kept = done = 0
     for i in range(0, y.shape[0], rows):
         block = y[i : i + rows]
-        keep = np.greater_equal(block, cut)  # |y| >= cut is y >= cut or y <= -cut
-        np.logical_or(keep, np.less_equal(block, -cut), out=keep)
-        if surplus:
-            tied = np.flatnonzero((block == cut) | (block == -cut))
+        if surplus:  # the ties, less those past the count, then every entry above the cut
+            keep = np.equal(block, cut)
+            np.logical_or(keep, np.equal(block, -cut), out=keep)
+            tied = np.flatnonzero(keep)
             dropped = tied[ties : ties + surplus]
             keep.flat[dropped] = False
-            ties = max(0, ties - tied.size)
             surplus -= dropped.size
-        f = out[i : i + rows]
-        np.copyto(f, block)
-        bits = f.view(np.int32)
+            ties = max(0, ties - tied.size)
+            del tied, dropped  # before the next mask
+            np.logical_or(keep, np.greater(block, cut), out=keep)
+            np.logical_or(keep, np.less(block, -cut), out=keep)
+        else:  # |y| >= cut is y >= cut or y <= -cut
+            keep = np.greater_equal(block, cut)
+            np.logical_or(keep, np.less_equal(block, -cut), out=keep)
+        kept += np.count_nonzero(keep)
+        end = i + block.shape[0]
+        while done < end:  # rows [done, done + step) of F lie on rows of Y below `done`
+            step = min(max(done, 1), end - done)
+            np.copyto(out[done : done + step], y[done : done + step])
+            done += step
+        bits = out[i:end].view(np.int32)
         np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
+        del keep  # before the next block's
+    if kept != count:
+        raise RuntimeError(f"the threshold kept {kept} entries, not {count}: "
+                           "fill(y) wrote different values the second time")
     return out
 
 
@@ -178,47 +196,64 @@ def _count_blocks(values: np.ndarray, test) -> int:
     return sum(np.count_nonzero(test(values[j : j + step])) for j in range(0, values.size, step))
 
 
-def folder(n: int):
-    """The function that packs a symmetric n x n matrix's upper triangle into one stack row.
+class FoldedLayout:
+    """Where a symmetric n x n matrix's upper triangle sits in one stack row, with no index.
 
-    `fold(g, row)` views `row` (n(n+1)/2 entries) as a (2h + 1) x c array P,
-    h = n // 2, c = n - h, and writes three blocks of g into it, with no
-    index: P[:h+1] = g[:h+1, h:] (every pair with one end at most h and one
-    at least h); P[h+1:] = g[:h, :c], whose lower triangle, diagonal
-    included, holds the pairs within the first h; and g[h+1:, h:]'s strict
-    upper triangle, the pairs within the last c - 1, goes over P[h+1:h+c]'s
-    strict upper triangle.  Since g = g.T exactly, P holds each entry of the
-    upper triangle once, for either parity of n (Gustavson et al. 2010's
-    rectangular full packed format).  `median_aggregate` unfolds it.  The
-    strict-upper mask is made once, here.
+    A row of n(n+1)/2 entries is viewed as a (2h + 1) x c array P, h = n // 2,
+    c = n - h (Gustavson et al. 2010's rectangular full packed format):
+    P[:h+1] holds g[:h+1, h:], every pair with one end at most h and one at
+    least h; P[h+1:]'s lower triangle, diagonal included, holds g[:h, :h],
+    the pairs within the first h; and P[h+1:h+c]'s strict upper triangle
+    holds g[h+1:, h:]'s, the pairs within the last c - 1.  Since g = g.T
+    exactly, P holds each entry of the upper triangle once, for either
+    parity of n.  `fold` writes the layout and `unfold` reads it back; the
+    strict-upper mask is made once per layout.
     """
-    h = n // 2
-    c = n - h
-    strict_upper = ~np.tri(c - 1, c, dtype=bool)
 
-    def fold(gram, row):
+    def __init__(self, n: int):
+        self.n = n
+        self.h = n // 2
+        self.c = n - self.h
+        self.strict_upper = ~np.tri(self.c - 1, self.c, dtype=bool)
+
+    def fold(self, gram: np.ndarray, row: np.ndarray) -> None:
+        """Write symmetric `gram`'s upper triangle into `row`: three block copies."""
+        h, c = self.h, self.c
         p = row.reshape(2 * h + 1, c)
         p[: h + 1] = gram[: h + 1, h:]
-        p[h + 1 :] = gram[:h, :c]
-        np.copyto(p[h + 1 : h + c], gram[h + 1 :, h:], where=strict_upper)
+        p[h + 1 :] = gram[:h, :c]  # its strict upper part is overwritten next
+        np.copyto(p[h + 1 : h + c], gram[h + 1 :, h:], where=self.strict_upper)
 
-    return fold
+    def unfold(self, row: np.ndarray) -> np.ndarray:
+        """The symmetric float64 n x n matrix whose upper triangle `fold` wrote into `row`."""
+        h, c = self.h, self.c
+        p = row.reshape(2 * h + 1, c)
+        mat = np.empty((self.n, self.n))
+        mat[: h + 1, h:] = p[: h + 1]
+        mat[h:, : h + 1] = p[: h + 1].T
+        first = p[h + 1 :, :h]
+        np.copyto(mat[:h, :h], first)
+        np.copyto(mat[:h, :h], first.T, where=np.tri(h, k=-1, dtype=bool).T)
+        last = p[h + 1 : h + c]
+        np.copyto(mat[h + 1 :, h:], last, where=self.strict_upper)
+        np.copyto(mat[h:, h + 1 :], last.T, where=self.strict_upper.T)
+        return mat
 
 
 def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     """Entrywise median of k symmetric n x n matrices, then absolute value.
 
     `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
-    i's upper triangle, folded by `folder(n)`; the trial loop's is float32.
-    It is partitioned in place, scrambling it, and its row k // 2 ends up
-    holding the median, in the stack's dtype.  The median, taken once per
-    upper-triangle entry, is unfolded into a symmetric float64 matrix block
-    by block, each block and its mirror copied from the folded row: no
-    index and no loop over rows.  An even count averages the middle two.
-    One partition at k // 2 finds it: for an even count the lower middle
-    is then the largest entry of the rows below k // 2.  The stack must be
-    finite, as the trial loop's Gram products are: unlike `np.median`, the
-    partition does not turn a NaN trial into a NaN median.
+    i's upper triangle, folded by `FoldedLayout(n).fold`; the trial loop's
+    is float32.  It is partitioned in place, scrambling it, and its row
+    k // 2 ends up holding the median, in the stack's dtype.  The median,
+    taken once per upper-triangle entry, is unfolded into a symmetric
+    float64 matrix by block copies: no index and no loop over rows.  An
+    even count averages the middle two.  One partition at k // 2 finds it:
+    for an even count the lower middle is then the largest entry of the
+    rows below k // 2.  The stack must be finite, as the trial loop's Gram
+    products are: unlike `np.median`, the partition does not turn a NaN
+    trial into a NaN median.
     """
     k = stack.shape[0]
     stack.partition(k // 2, axis=0)
@@ -228,19 +263,7 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
         mid /= 2
     np.abs(mid, out=mid)
     n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
-    h = n // 2
-    c = n - h
-    p = mid.reshape(2 * h + 1, c)  # the folded row, as `folder(n)` wrote it
-    med = np.empty((n, n))
-    med[: h + 1, h:] = p[: h + 1]
-    med[h:, : h + 1] = p[: h + 1].T
-    first = p[h + 1 :, :h]  # the pairs within the first h, in its lower triangle
-    np.copyto(med[:h, :h], first)
-    np.copyto(med[:h, :h], first.T, where=np.tri(h, k=-1, dtype=bool).T)
-    last = p[h + 1 : h + c, 1:]  # the pairs within the last c - 1, in its upper triangle
-    np.copyto(med[h + 1 :, h + 1 :], last)
-    np.copyto(med[h + 1 :, h + 1 :], last.T, where=np.tri(c - 1, k=-1, dtype=bool))
-    return SimilarityMatrix(entries=med)
+    return SimilarityMatrix(entries=FoldedLayout(n).unfold(mid))
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ def pack(mats):
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[1]
     stack = np.empty((len(mats), n * (n + 1) // 2))
-    fold = simgen.folder(n)
+    layout = simgen.FoldedLayout(n)
     for mat, row in zip(mats, stack):
-        fold(mat, row)
+        layout.fold(mat, row)
     return stack
 
 

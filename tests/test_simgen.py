@@ -11,11 +11,11 @@ from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
     SYMMETRY_BLOCK,
     THRESHOLD_BLOCK,
+    FoldedLayout,
     SimilarityMatrix,
     coefficient_matrix,
     elementwise_power,
     enforce_diagonal,
-    folder,
     gram_similarity,
     median_aggregate,
     normalize_columns,
@@ -178,19 +178,28 @@ class TestThresholdVolumetric:
         np.testing.assert_array_equal(out, stable_sort_threshold(y, m).astype(np.float32))
 
     def test_ties_allocate_no_k_by_n_array(self):
-        # a repeated cut value takes the tie path; the partitioned tail is counted and Y kept one
-        # block of rows at a time, so the temporaries are row blocks, none of them k x n
-        y = np.round(np.random.default_rng(3).standard_normal((1200, 300)), 1)
-        workspace = np.empty(y.shape)
-        tracemalloc.start()
-        try:
-            out = threshold_volumetric(lambda buf: np.copyto(buf, y), 3, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < y.size, f"peak {peak / y.size:.2f} bool k x n arrays"
-        assert peak < THRESHOLD_BLOCK, f"peak {peak / THRESHOLD_BLOCK:.2f} row blocks"
-        np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
+        # a repeated cut value takes the tie path; the partitioned tail is counted, Y is masked
+        # one block of rows at a time and F's rows go over rows of Y already converted, so the
+        # temporaries are a block's masks and one row, none of them k x n
+        for shape in [(300, 300), (1200, 300)]:
+            y = np.round(np.random.default_rng(3).standard_normal(shape), 1)
+            workspace = np.empty(y.shape)
+            tracemalloc.start()
+            try:
+                out = threshold_volumetric(lambda buf: np.copyto(buf, y), 3, workspace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < y.size, f"{shape}: peak {peak / y.size:.2f} bool k x n arrays"
+            assert peak < THRESHOLD_BLOCK, f"{shape}: peak {peak / THRESHOLD_BLOCK:.2f} blocks"
+            np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
+
+    def test_fills_that_differ_raise(self, rng):
+        # a cut taken from one Y and applied to another keeps some other number of entries
+        y = rng.standard_normal((12, 40))
+        fills = iter((y, 2.0 * y))
+        with pytest.raises(RuntimeError, match="fill"):
+            threshold_volumetric(lambda buf: np.copyto(buf, next(fills)), 3, np.empty(y.shape))
 
 
 def stable_sort_threshold(y, m_subspaces):
@@ -337,7 +346,7 @@ class TestFold:
         ids = np.zeros((n, n))
         ids[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
         row = np.empty(n * (n + 1) // 2)
-        folder(n)(ids + np.triu(ids, 1).T, row)
+        FoldedLayout(n).fold(ids + np.triu(ids, 1).T, row)
         np.testing.assert_array_equal(np.sort(row), np.arange(row.size))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -346,7 +355,7 @@ class TestFold:
         a = rng.standard_normal((n, n))
         g = (a + a.T).astype(dtype)
         row = np.empty((1, n * (n + 1) // 2), dtype=dtype)
-        folder(n)(g, row[0])
+        FoldedLayout(n).fold(g, row[0])
         entries = median_aggregate(row).entries
         assert entries.dtype == np.float64
         np.testing.assert_array_equal(entries, np.abs(g).astype(np.float64))
