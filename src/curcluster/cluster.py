@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .simgen import SimilarityMatrix, binarize
+from .simgen import SimilarityMatrix, binarize, block_rows
 
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-8
@@ -69,71 +69,160 @@ class LabelVector:
         return self.labels.size
 
 
-def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initial centers: each next center drawn proportional to D^2."""
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (restarts x k x n) from each restart's k centers to the points.
+
+    Each is summed over the coordinates as the single-restart
+    `np.sum((points[:, None] - centers[None]) ** 2, axis=2)` sums it, in
+    blocks of restarts whose n x k x d differences fit in one `simgen.BLOCK_BYTES`
+    block (a restart whose differences alone are larger gets a block of its
+    own), so the temporaries never grow with the number of restarts.
+    """
+    (restarts, k, d), n = centers.shape, len(points)
+    step = block_rows(n * k * d)
+    out, diff = np.empty((restarts, n, k)), np.empty((min(step, restarts), n, k, d))
+    for lo in range(0, restarts, step):
+        block = diff[:min(step, restarts - lo)]
+        np.subtract(points[None, :, None, :], centers[lo:lo + step, None], out=block)
+        np.square(block, out=block)
+        np.sum(block, axis=3, out=out[lo:lo + step])
+    return out.transpose(0, 2, 1)
+
+
+def _plus_plus_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ initial centers (restarts x k x d), restart t drawing from `rngs[t]`.
+
+    Each next center is drawn proportional to D^2 as `Generator.choice(n,
+    p=D^2 / total)` draws it: one `random()` placed in the normalized
+    cumulative sum.  A restart whose D^2 total is not positive draws
+    `integers(n)`, and one whose total is not finite calls `choice`, which
+    raises.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    restarts = len(rngs)
+    centers = np.empty((restarts, k, points.shape[1]))
+    centers[:, 0] = points[[rng.integers(n) for rng in rngs]]
+    d2 = _sq_distances(points, centers[:, :1])[:, 0]
+    picks, draws = np.empty(restarts, dtype=int), np.empty(restarts)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = points[rng.integers(n)]
-        else:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        weighted = np.isfinite(total) & (total > 0)
+        for t, (rng, tot) in enumerate(zip(rngs, total.tolist())):
+            if weighted[t]:
+                draws[t] = rng.random()
+            elif tot <= 0:
+                picks[t] = rng.integers(n)
+            else:
+                picks[t] = rng.choice(n, p=d2[t] / tot)
+        cdf = np.cumsum(d2[weighted] / total[weighted][:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        # the sorted cdf's searchsorted(draw, side="right"), as `choice` takes it
+        picks[weighted] = np.count_nonzero(cdf <= draws[weighted][:, None], axis=1)
+        centers[:, j] = points[picks]
+        d2 = np.minimum(d2, _sq_distances(points, centers[:, j:j + 1])[:, 0])
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, k: int, history=None):
-    """Lloyd iterations from the given centers; returns (labels, wcss).
+def _repair_empty(d2: np.ndarray, labels: np.ndarray, k: int) -> None:
+    """Give each empty cluster, in order, the point farthest from its center.
 
-    When `history` is a list, the per-iteration WCSS values are appended
-    to it (the sequence is nonincreasing).
+    The point is taken from a cluster with more than one member (n >= k
+    leaves one), so that no repair empties another.  `d2` (n x k) and
+    `labels` are one restart's, updated in place.
     """
-    prev = np.inf
+    for j in range(k):
+        if not np.any(labels == j):
+            assigned = d2[np.arange(len(labels)), labels]
+            shared = np.bincount(labels, minlength=k)[labels] > 1
+            far = int(np.argmax(np.where(shared, assigned, -np.inf)))
+            labels[far] = j
+            d2[far, :] = np.inf
+            d2[far, j] = 0.0
+
+
+def _means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each restart's cluster means (restarts x k x d) for its labels and counts (restarts x k).
+
+    They equal `points[labels[t] == j].mean(axis=0)` bit for bit: numpy adds
+    the rows of an m x d array (d > 1) in index order, as `bincount` does,
+    but sums a single column pairwise, so one-dimensional points are
+    averaged cluster by cluster.
+    """
+    (n, d), (restarts, k) = points.shape, counts.shape
+    if d == 1:
+        return np.array([[points[row == j].mean(axis=0) for j in range(k)] for row in labels])
+    bins = (labels + k * np.arange(restarts)[:, None]).ravel()
+    weights, sums = np.empty((restarts, n)), np.empty((restarts * k, d))
+    for c, coordinate in enumerate(points.T):
+        weights[:] = coordinate
+        sums[:, c] = np.bincount(bins, weights=weights.ravel(), minlength=restarts * k)
+    return sums.reshape(restarts, k, d) / counts[:, :, None]
+
+
+def _wcss(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each restart's within-cluster sum of squares, summed as `np.sum` sums one restart's."""
+    (n, d), restarts = points.shape, len(centers)
+    step = block_rows(n * d)
+    out, diff = np.empty(restarts), np.empty((min(step, restarts), n, d))
+    for lo in range(0, restarts, step):
+        rows = labels[lo:lo + step]
+        block = diff[:len(rows)]
+        np.subtract(points, centers[lo:lo + step][np.arange(len(rows))[:, None], rows], out=block)
+        np.square(block, out=block)
+        out[lo:lo + step] = block.reshape(len(rows), -1).sum(axis=1)
+    return out
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, history=None):
+    """Lloyd iterations of every restart from its centers (restarts x k x d), updated in place.
+
+    Returns the labels (restarts x n) and WCSS (restarts) each restart
+    stopped at: its own convergence test or `_KMEANS_MAX_ITER`.  When
+    `history` is a list, the WCSS of all restarts is appended after every
+    iteration (a stopped restart keeps its value; each restart's sequence is
+    nonincreasing).
+    """
+    restarts, k, _ = centers.shape
+    labels = np.empty((restarts, len(points)), dtype=int)
+    wcss, prev = np.empty(restarts), np.full(restarts, np.inf)
+    active = np.arange(restarts)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        # repair empty clusters with the point farthest from its center, taken from a cluster
-        # with more than one member (n >= k leaves one), so that no repair empties another
-        for j in range(k):
-            if not np.any(labels == j):
-                assigned = d2[np.arange(points.shape[0]), labels]
-                shared = np.bincount(labels, minlength=k)[labels] > 1
-                far = int(np.argmax(np.where(shared, assigned, -np.inf)))
-                labels[far] = j
-                d2[far, :] = np.inf
-                d2[far, j] = 0.0
-        for j in range(k):
-            centers[j] = points[labels == j].mean(axis=0)
-        wcss = float(np.sum((points - centers[labels]) ** 2))
+        d2 = _sq_distances(points, centers[active])
+        near = np.argmin(d2, axis=1)
+        offsets = k * np.arange(len(active))[:, None]
+        counts = np.bincount((near + offsets).ravel(), minlength=len(active) * k).reshape(-1, k)
+        for i in np.flatnonzero(np.any(counts == 0, axis=1)):
+            _repair_empty(d2[i].T, near[i], k)
+            counts[i] = np.bincount(near[i], minlength=k)
+        centers[active] = _means(points, near, counts)
+        labels[active] = near
+        wcss[active] = _wcss(points, centers[active], near)
         if history is not None:
-            history.append(wcss)
-        if wcss == 0.0 or (
-            np.isfinite(prev) and prev - wcss <= _KMEANS_REL_TOL * max(prev, 1e-300)
-        ):
-            return labels, wcss
-        prev = wcss
+            history.append(wcss.copy())
+        now, before = wcss[active], prev[active]
+        converged = (now == 0.0) | (
+            np.isfinite(before) & (before - now <= _KMEANS_REL_TOL * np.maximum(before, 1e-300))
+        )
+        prev[active] = now
+        active = active[~converged]
+        if not active.size:
+            break
     return labels, wcss
 
 
 def kmeans(points, m_clusters: int, seed: int, restarts: int = 20) -> LabelVector:
-    """k-means on the rows of `points`, best of `restarts` runs by WCSS."""
+    """k-means on the rows of `points`, best of `restarts` runs by WCSS.
+
+    Restart t seeds from `np.random.default_rng(seed + t)`; all restarts
+    advance together, and the first with the least WCSS wins.
+    """
     points = as_matrix(points)
     n = points.shape[0]
     if not 1 <= m_clusters <= n:
         raise ValueError(f"need 1 <= m_clusters <= n, got M={m_clusters}, n={n}")
-    best_labels, best_wcss = None, np.inf
-    for trial in range(restarts):
-        rng = np.random.default_rng(seed + trial)
-        centers = _plus_plus_seed(points, m_clusters, rng)
-        labels, wcss = _lloyd(points, centers.copy(), m_clusters)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-        if best_wcss == 0.0:
-            break
-    return LabelVector(labels=best_labels, m_clusters=m_clusters)
+    rngs = [np.random.default_rng(seed + t) for t in range(restarts)]
+    labels, wcss = _lloyd(points, _plus_plus_seed(points, m_clusters, rngs))
+    return LabelVector(labels=labels[np.argmin(wcss)], m_clusters=m_clusters)
 
 
 def spectral_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVector:

@@ -130,7 +130,7 @@ def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries
     m, n = a.shape
     for attempt in range(max_retries):
         rows, cols = _draw(m, n, s, k, seed + attempt)
-        u = a[np.ix_(rows, cols)]
+        u = a[rows] if k == n else a[np.ix_(rows, cols)]  # every column: a plain row gather
         left, sing, right = np.linalg.svd(u, full_matrices=False)
         rank = np.count_nonzero(sing > _rank_cutoff(sing, u.shape))
         if rank >= required:

@@ -33,7 +33,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix must be nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):  # NaN propagates; no n x m mask
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 

@@ -27,12 +27,15 @@ from .linalg import BINARIZE_TOL, as_matrix, matrix_power, pinv, skinny_svd
 KINDS = ("binary", "absolute")
 
 
-#: rows per block of the symmetry check; bounds its temporaries to ~2 blocks
-SYMMETRY_BLOCK = 128
+#: bytes per block of the kernels that work on a matrix in pieces: the threshold's keep pass (27
+#: rows of Y at n = 1200, all 150 rows at n = 150; its masks take at most a quarter of a block),
+#: the similarity matrix's symmetry check and k-means' squared differences across restarts
+BLOCK_BYTES = 1 << 18
 
-#: bytes of Y per row block of the threshold's keep pass (27 rows at n = 1200, all 150 rows at
-#: n = 150); its masks take at most a quarter of a block
-THRESHOLD_BLOCK = 1 << 18
+
+def block_rows(width: int) -> int:
+    """Rows of a float64 array `width` columns wide that make one `BLOCK_BYTES` block (at least 1)."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class SimilarityMatrix:
     """Symmetric nonnegative n x n matrix.
 
     Symmetry is `np.allclose(entries, entries.T, atol=1e-12)`, checked one
-    block of `SYMMETRY_BLOCK` rows at a time, so that the check's temporaries
-    stay a small fraction of one n x n array.
+    block of `block_rows(n)` rows at a time, and the sign is read off the
+    least entry, so that the checks' temporaries are a few blocks at any n.
     """
 
     entries: np.ndarray
@@ -51,11 +54,11 @@ class SimilarityMatrix:
         n = entries.shape[0]
         if n != entries.shape[1]:
             raise ValueError(f"similarity matrix must be square, got {entries.shape}")
-        for i in range(0, n, SYMMETRY_BLOCK):
-            j = i + SYMMETRY_BLOCK
-            if not np.allclose(entries[i:j], entries[:, i:j].T, atol=1e-12):
+        rows = block_rows(n)
+        for i in range(0, n, rows):
+            if not np.allclose(entries[i:i + rows], entries[:, i:i + rows].T, atol=1e-12):
                 raise ValueError("similarity matrix must be symmetric")
-        if np.any(entries < 0):
+        if entries.min() < 0:
             raise ValueError("similarity matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
 
@@ -130,7 +133,7 @@ def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
     Y's magnitudes are partitioned in place to find the cut value.  Entries
     that equal it but fell below it in the partition are surplus ties: a
     stable sort of -|Y| keeps the earliest row-major entries equal to the
-    cut.  With Y written again, each row block of `THRESHOLD_BLOCK` bytes
+    cut.  With Y written again, each row block of `BLOCK_BYTES` bytes
     gets a keep mask: every entry with |Y| >= cut or, while surplus ties
     are left, every entry above the cut and the ties within the count.
     F's rows are written over rows of Y already converted, one row first
@@ -157,7 +160,7 @@ def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
         if surplus:  # the cut repeats past the count: keep only the ties within it
             ties = count - _count_blocks(raw[size - count + 1 :], lambda v: v > cut)
         fill(y)
-    rows = max(1, THRESHOLD_BLOCK // (8 * y.shape[1]))
+    rows = block_rows(y.shape[1])
     kept = done = 0
     for i in range(0, y.shape[0], rows):
         block = y[i : i + rows]
@@ -191,8 +194,8 @@ def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
 
 
 def _count_blocks(values: np.ndarray, test) -> int:
-    """Entries of flat `values` that pass `test`, taken `THRESHOLD_BLOCK` bytes at a time."""
-    step = THRESHOLD_BLOCK // values.itemsize
+    """Entries of flat `values` that pass `test`, taken `BLOCK_BYTES` bytes at a time."""
+    step = BLOCK_BYTES // values.itemsize
     return sum(np.count_nonzero(test(values[j : j + step])) for j in range(0, values.size, step))
 
 

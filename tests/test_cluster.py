@@ -1,7 +1,9 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import union_instance
 from curcluster import ProtoConfig, cluster, random_union_model, sample_instance
@@ -31,6 +33,78 @@ def block_similarity(sizes, cross=0.0):
     return SimilarityMatrix(entries=s)
 
 
+def reference_kmeans(points, m_clusters, seed, restarts=20):
+    """k-means run one restart after another: the reference the batched `kmeans` must match."""
+    n = points.shape[0]
+    best_labels, best_wcss = None, np.inf
+    for trial in range(restarts):
+        rng = np.random.default_rng(seed + trial)
+        centers = np.empty((m_clusters, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        d2 = np.sum((points - centers[0]) ** 2, axis=1)
+        for j in range(1, m_clusters):
+            total = d2.sum()
+            if total <= 0:
+                centers[j] = points[rng.integers(n)]
+            else:
+                centers[j] = points[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        labels, wcss = reference_lloyd(points, centers, m_clusters)
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+        if best_wcss == 0.0:
+            break
+    return best_labels
+
+
+def reference_lloyd(points, centers, k):
+    prev = np.inf
+    for _ in range(cluster._KMEANS_MAX_ITER):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            if not np.any(labels == j):
+                assigned = d2[np.arange(points.shape[0]), labels]
+                shared = np.bincount(labels, minlength=k)[labels] > 1
+                far = int(np.argmax(np.where(shared, assigned, -np.inf)))
+                labels[far] = j
+                d2[far, :] = np.inf
+                d2[far, j] = 0.0
+        for j in range(k):
+            centers[j] = points[labels == j].mean(axis=0)
+        wcss = float(np.sum((points - centers[labels]) ** 2))
+        if wcss == 0.0 or (
+            np.isfinite(prev) and prev - wcss <= cluster._KMEANS_REL_TOL * max(prev, 1e-300)
+        ):
+            return labels, wcss
+        prev = wcss
+    return labels, wcss
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points (n x d, d = 1..9, scale 1e-3..1e3), k = 1..9 and a seed.
+
+    Scattered, clustered, duplicated and all-identical points; fewer distinct points than k
+    force empty-cluster repairs.
+    """
+    k, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = draw(st.integers(k, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["scattered", "clustered", "duplicated", "identical"]))
+    if kind == "scattered":
+        points = rng.standard_normal((n, d))
+    elif kind == "clustered":
+        centers = 5.0 * rng.standard_normal((k, d))
+        points = centers[rng.integers(0, k, n)] + 0.5 * rng.standard_normal((n, d))
+    elif kind == "duplicated":
+        distinct = rng.standard_normal((draw(st.integers(1, k + 1)), d))
+        points = distinct[rng.integers(0, len(distinct), n)]
+    else:
+        points = np.full((n, d), rng.standard_normal())
+    return points * 10.0 ** draw(st.integers(-3, 3)), k, draw(st.integers(0, 1000))
+
+
 def labels_of(sizes):
     out = []
     for i, size in enumerate(sizes):
@@ -57,9 +131,10 @@ class TestKmeans:
     def test_wcss_monotone(self, rng):
         pts = rng.standard_normal((40, 3))
         history = []
-        centers = _plus_plus_seed(pts, 4, np.random.default_rng(0))
-        _lloyd(pts, centers, 4, history=history)
-        assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
+        centers = _plus_plus_seed(pts, 4, [np.random.default_rng(t) for t in range(20)])
+        _lloyd(pts, centers, history=history)
+        for run in np.transpose(history):  # one restart's WCSS per iteration
+            assert all(a >= b - 1e-12 for a, b in zip(run, run[1:]))
 
     def test_deterministic(self, rng):
         pts = rng.standard_normal((30, 2))
@@ -73,6 +148,43 @@ class TestKmeans:
         # an emptied cluster would warn "Mean of empty slice" (an error in this suite)
         labels = kmeans(np.zeros((n, 2)), k, seed=0).labels
         assert np.bincount(labels, minlength=k).min() >= 1
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(kmeans_inputs())
+    def test_matches_one_restart_at_a_time(self, case):
+        points, k, seed = case
+        np.testing.assert_array_equal(kmeans(points, k, seed).labels,
+                                      reference_kmeans(points, k, seed))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_distances_and_means_match_one_restart(self, d):
+        # the squares are summed in blocks of restarts, on both sides of numpy's switch from
+        # in-order to pairwise sums at 8 terms, and the means are sums by bincount (cluster by
+        # cluster at d = 1): each must give one restart's numpy sum and mean bit for bit
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-3, 3, (50, d))
+        centers = rng.standard_normal((4, 5, d)) * 10.0 ** rng.uniform(-3, 3, (4, 5, d))
+        labels = np.array([rng.permutation(np.arange(50) % 5) for _ in range(4)])
+        d2 = cluster._sq_distances(points, centers)
+        means = cluster._means(points, labels, np.full((4, 5), 10))
+        for t in range(4):
+            np.testing.assert_array_equal(
+                d2[t].T, np.sum((points[:, None, :] - centers[t][None, :, :]) ** 2, axis=2))
+            np.testing.assert_array_equal(
+                means[t], [points[labels[t] == j].mean(axis=0) for j in range(5)])
+
+    def test_distances_do_not_grow_with_restarts(self, rng):
+        # the kmeans backend's shape, d = n: the restarts' n x k x d squared differences are
+        # taken one restart at a time here, where all 20 at once would be 20 such arrays
+        n, k = 400, 3
+        points = rng.random((n, n))
+        tracemalloc.start()
+        try:
+            kmeans(points, k, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * k * n, f"peak {peak / (8 * n * k * n):.2f} n x k x d arrays"
 
 
 class TestSpectralCluster:

@@ -9,8 +9,7 @@ from conftest import pack, threshold, union_instance
 from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
-    SYMMETRY_BLOCK,
-    THRESHOLD_BLOCK,
+    BLOCK_BYTES,
     FoldedLayout,
     SimilarityMatrix,
     coefficient_matrix,
@@ -19,6 +18,7 @@ from curcluster.simgen import (
     gram_similarity,
     median_aggregate,
     normalize_columns,
+    block_rows,
     sim_baseline,
     similarity_noise_free,
     threshold_volumetric,
@@ -191,7 +191,7 @@ class TestThresholdVolumetric:
             finally:
                 tracemalloc.stop()
             assert peak < y.size, f"{shape}: peak {peak / y.size:.2f} bool k x n arrays"
-            assert peak < THRESHOLD_BLOCK, f"{shape}: peak {peak / THRESHOLD_BLOCK:.2f} blocks"
+            assert peak < BLOCK_BYTES, f"{shape}: peak {peak / BLOCK_BYTES:.2f} blocks"
             np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
 
     def test_fills_that_differ_raise(self, rng):
@@ -259,7 +259,7 @@ class TestThresholdMatchesStableSort:
     def test_ties_across_row_blocks(self, seed, m):
         # the kept ties at the cut can run on past the first block of rows, or start after it
         rng = np.random.default_rng(200 + seed)
-        rows = THRESHOLD_BLOCK // (8 * 9)
+        rows = block_rows(9)
         y = np.round(rng.standard_normal((2 * rows + 5, 9)), int(rng.integers(0, 2)))
         self.check(y, m)
 
@@ -275,7 +275,7 @@ def near_symmetric(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     a = rng.random((n, n))
     e = (1.0 + a + a.T) * 10.0 ** draw(st.sampled_from([-14, -9, 0, 6]))
-    edges = sorted({b + d for b in range(0, n + 1, SYMMETRY_BLOCK) for d in (-1, 0)} & set(range(n)))
+    edges = sorted({b + d for b in range(0, n + 1, block_rows(n)) for d in (-1, 0)} & set(range(n)))
     index = st.one_of(st.sampled_from(edges), st.integers(max(0, n - 20), n - 1),
                       st.integers(0, n - 1))
     i, j = draw(index), draw(index)
@@ -309,6 +309,23 @@ class TestSymmetryCheck:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * e.nbytes, f"peak {peak / e.nbytes:.2f} n x n arrays"
+
+    @pytest.mark.parametrize("n", [150, 300, 1200])
+    def test_peak_under_a_fixed_cap(self, rng, n):
+        # the symmetry check takes blocks of BLOCK_BYTES (np.allclose makes three block-sized
+        # temporaries) and the sign and finiteness checks read extremes, so no temporary grows
+        # with n: 2.1, 3.0 and 3.0 blocks here, where 128-row blocks and n x n sign and
+        # finiteness masks peaked at 1.8, 2.7 and 10.2
+        a = rng.random((n, n))
+        e = a + a.T
+        del a
+        tracemalloc.start()
+        try:
+            SimilarityMatrix(entries=e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * BLOCK_BYTES, f"n = {n}: peak {peak / BLOCK_BYTES:.2f} blocks"
 
 
 class TestMedianAggregate:
