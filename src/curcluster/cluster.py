@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .simgen import SimilarityMatrix, binarize, block_rows
+from .simgen import SimilarityMatrix, binarize
 
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-8
@@ -72,54 +72,30 @@ class LabelVector:
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances (restarts x k x n) from each restart's k centers to the points.
 
-    Each is summed over the coordinates as the single-restart
-    `np.sum((points[:, None] - centers[None]) ** 2, axis=2)` sums it, in
-    blocks of restarts whose n x k x d differences fit in one `simgen.BLOCK_BYTES`
-    block (a restart whose differences alone are larger gets a block of its
-    own), so the temporaries never grow with the number of restarts.
+    Taken as ||x||^2 - 2 c.x + ||c||^2 through one matrix product, clipped at 0.
     """
-    (restarts, k, d), n = centers.shape, len(points)
-    step = block_rows(n * k * d)
-    out, diff = np.empty((restarts, n, k)), np.empty((min(step, restarts), n, k, d))
-    for lo in range(0, restarts, step):
-        block = diff[:min(step, restarts - lo)]
-        np.subtract(points[None, :, None, :], centers[lo:lo + step, None], out=block)
-        np.square(block, out=block)
-        np.sum(block, axis=3, out=out[lo:lo + step])
-    return out.transpose(0, 2, 1)
+    restarts, k, d = centers.shape
+    d2 = ((-2.0 * centers).reshape(-1, d) @ points.T).reshape(restarts, k, -1)
+    d2 += np.einsum("ij,ij->i", points, points)
+    d2 += np.einsum("rkd,rkd->rk", centers, centers)[:, :, None]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _plus_plus_seed(points: np.ndarray, k: int, rngs) -> np.ndarray:
-    """k-means++ initial centers (restarts x k x d), restart t drawing from `rngs[t]`.
+def _plus_plus_seed(points: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
+    """k-means++ initial centers (restarts x k x d), every restart drawing from `rng`.
 
-    Each next center is drawn proportional to D^2 as `Generator.choice(n,
-    p=D^2 / total)` draws it: one `random()` placed in the normalized
-    cumulative sum.  A restart whose D^2 total is not positive draws
-    `integers(n)`, and one whose total is not finite calls `choice`, which
-    raises.
+    Each center is drawn proportional to D^2 (to the restart's centers so far)
+    by one `random()` placed in D^2's cumulative sum, or uniformly where all D^2 are 0.
     """
     n = points.shape[0]
-    restarts = len(rngs)
     centers = np.empty((restarts, k, points.shape[1]))
-    centers[:, 0] = points[[rng.integers(n) for rng in rngs]]
-    d2 = _sq_distances(points, centers[:, :1])[:, 0]
-    picks, draws = np.empty(restarts, dtype=int), np.empty(restarts)
-    for j in range(1, k):
-        total = d2.sum(axis=1)
-        weighted = np.isfinite(total) & (total > 0)
-        for t, (rng, tot) in enumerate(zip(rngs, total.tolist())):
-            if weighted[t]:
-                draws[t] = rng.random()
-            elif tot <= 0:
-                picks[t] = rng.integers(n)
-            else:
-                picks[t] = rng.choice(n, p=d2[t] / tot)
-        cdf = np.cumsum(d2[weighted] / total[weighted][:, None], axis=1)
-        cdf /= cdf[:, -1:]
-        # the sorted cdf's searchsorted(draw, side="right"), as `choice` takes it
-        picks[weighted] = np.count_nonzero(cdf <= draws[weighted][:, None], axis=1)
+    d2 = np.zeros((restarts, n))
+    for j in range(k):
+        cdf = np.cumsum(d2, axis=1)
+        cdf[cdf[:, -1] <= 0] = np.arange(1, n + 1)
+        picks = np.count_nonzero(cdf <= rng.random((restarts, 1)) * cdf[:, -1:], axis=1)
         centers[:, j] = points[picks]
-        d2 = np.minimum(d2, _sq_distances(points, centers[:, j:j + 1])[:, 0])
+        d2 = _sq_distances(points, centers[:, :j + 1]).min(axis=1)
     return centers
 
 
@@ -140,39 +116,6 @@ def _repair_empty(d2: np.ndarray, labels: np.ndarray, k: int) -> None:
             d2[far, j] = 0.0
 
 
-def _means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each restart's cluster means (restarts x k x d) for its labels and counts (restarts x k).
-
-    They equal `points[labels[t] == j].mean(axis=0)` bit for bit: numpy adds
-    the rows of an m x d array (d > 1) in index order, as `bincount` does,
-    but sums a single column pairwise, so one-dimensional points are
-    averaged cluster by cluster.
-    """
-    (n, d), (restarts, k) = points.shape, counts.shape
-    if d == 1:
-        return np.array([[points[row == j].mean(axis=0) for j in range(k)] for row in labels])
-    bins = (labels + k * np.arange(restarts)[:, None]).ravel()
-    weights, sums = np.empty((restarts, n)), np.empty((restarts * k, d))
-    for c, coordinate in enumerate(points.T):
-        weights[:] = coordinate
-        sums[:, c] = np.bincount(bins, weights=weights.ravel(), minlength=restarts * k)
-    return sums.reshape(restarts, k, d) / counts[:, :, None]
-
-
-def _wcss(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each restart's within-cluster sum of squares, summed as `np.sum` sums one restart's."""
-    (n, d), restarts = points.shape, len(centers)
-    step = block_rows(n * d)
-    out, diff = np.empty(restarts), np.empty((min(step, restarts), n, d))
-    for lo in range(0, restarts, step):
-        rows = labels[lo:lo + step]
-        block = diff[:len(rows)]
-        np.subtract(points, centers[lo:lo + step][np.arange(len(rows))[:, None], rows], out=block)
-        np.square(block, out=block)
-        out[lo:lo + step] = block.reshape(len(rows), -1).sum(axis=1)
-    return out
-
-
 def _lloyd(points: np.ndarray, centers: np.ndarray, history=None):
     """Lloyd iterations of every restart from its centers (restarts x k x d), updated in place.
 
@@ -182,29 +125,28 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, history=None):
     iteration (a stopped restart keeps its value; each restart's sequence is
     nonincreasing).
     """
-    restarts, k, _ = centers.shape
-    labels = np.empty((restarts, len(points)), dtype=int)
-    wcss, prev = np.empty(restarts), np.full(restarts, np.inf)
+    (restarts, k, _), n = centers.shape, len(points)
+    labels, wcss = np.empty((restarts, n), dtype=int), np.full(restarts, np.inf)
     active = np.arange(restarts)
+    d2 = _sq_distances(points, centers)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sq_distances(points, centers[active])
         near = np.argmin(d2, axis=1)
-        offsets = k * np.arange(len(active))[:, None]
-        counts = np.bincount((near + offsets).ravel(), minlength=len(active) * k).reshape(-1, k)
-        for i in np.flatnonzero(np.any(counts == 0, axis=1)):
+        onehot = near[:, None] == np.arange(k)[:, None]
+        for i in np.flatnonzero(~onehot.any(axis=2).all(axis=1)):
             _repair_empty(d2[i].T, near[i], k)
-            counts[i] = np.bincount(near[i], minlength=k)
-        centers[active] = _means(points, near, counts)
+            onehot[i] = near[i] == np.arange(k)[:, None]
+        sums = (onehot.reshape(-1, n).astype(float) @ points).reshape(len(active), k, -1)
+        centers[active] = sums / onehot.sum(axis=2)[:, :, None]
         labels[active] = near
-        wcss[active] = _wcss(points, centers[active], near)
+        d2 = _sq_distances(points, centers[active])
+        before, now = wcss[active], np.take_along_axis(d2, near[:, None], axis=1).sum(axis=(1, 2))
+        wcss[active] = now
         if history is not None:
             history.append(wcss.copy())
-        now, before = wcss[active], prev[active]
         converged = (now == 0.0) | (
             np.isfinite(before) & (before - now <= _KMEANS_REL_TOL * np.maximum(before, 1e-300))
         )
-        prev[active] = now
-        active = active[~converged]
+        active, d2 = active[~converged], d2[~converged]
         if not active.size:
             break
     return labels, wcss
@@ -213,16 +155,21 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, history=None):
 def kmeans(points, m_clusters: int, seed: int, restarts: int = 20) -> LabelVector:
     """k-means on the rows of `points`, best of `restarts` runs by WCSS.
 
-    Restart t seeds from `np.random.default_rng(seed + t)`; all restarts
-    advance together, and the first with the least WCSS wins.
+    The points are scaled by a power of two (exactly) so that |x| < 1 and
+    centred on their mean, so finite points at any scale get the labels of
+    scale 1.  All restarts draw from one `np.random.default_rng(seed)`; the
+    first whose WCSS is within `_KMEANS_REL_TOL` of the least wins, since one
+    batched product can give one partition's means different last bits.
     """
     points = as_matrix(points)
     n = points.shape[0]
     if not 1 <= m_clusters <= n:
         raise ValueError(f"need 1 <= m_clusters <= n, got M={m_clusters}, n={n}")
-    rngs = [np.random.default_rng(seed + t) for t in range(restarts)]
-    labels, wcss = _lloyd(points, _plus_plus_seed(points, m_clusters, rngs))
-    return LabelVector(labels=labels[np.argmin(wcss)], m_clusters=m_clusters)
+    x = np.ldexp(points, -np.frexp(max(points.max(), -points.min()))[1])
+    x -= x.mean(axis=0)
+    labels, wcss = _lloyd(x, _plus_plus_seed(x, m_clusters, restarts, np.random.default_rng(seed)))
+    best = np.argmax(wcss <= (1.0 + _KMEANS_REL_TOL) * wcss.min())
+    return LabelVector(labels=labels[best], m_clusters=m_clusters)
 
 
 def spectral_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVector:

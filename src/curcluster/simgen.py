@@ -28,8 +28,8 @@ KINDS = ("binary", "absolute")
 
 
 #: bytes per block of the kernels that work on a matrix in pieces: the threshold's keep pass (27
-#: rows of Y at n = 1200, all 150 rows at n = 150; its masks take at most a quarter of a block),
-#: the similarity matrix's symmetry check and k-means' squared differences across restarts
+#: rows of Y at n = 1200, all 150 rows at n = 150; its masks take at most a quarter of a block)
+#: and the similarity matrix's symmetry check
 BLOCK_BYTES = 1 << 18
 
 
