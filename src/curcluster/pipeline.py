@@ -4,12 +4,12 @@ Three paths are provided: the exact noise-free construction (components of
 the full selection's shape-interaction pattern), the noisy multi-trial
 median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
-spectral partition.
+spectral partition.  One function medians the noisy pipelines' Gram
+matrices, which generators yield; the rank sweep's ranks share its draws.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,69 +104,68 @@ def cluster_noise_free(w) -> LabelVector:
     return _cluster.connected_components(simgen.sim_baseline(w, min(np.shape(w))))
 
 
-def _rcur_factor(r_rows, svd):
-    """rcur's trial factor: V.T = S^-1 U.T R normalized (U = R; Y = V V.T has its column norms)."""
-    return simgen.normalize_columns((svd[0] / svd[1]).T @ r_rows)  # zero columns of R stay 0
+def _median_of_grams(grams, n_trials: int, n: int) -> simgen.SimilarityMatrix:
+    """Median of `n_trials` symmetric float32 n x n Gram matrices, upper triangles in one stack.
 
-
-def _median_of_trials(w, rank_w, rows, cols, target_rank, seeds, make_trial):
-    """Median of the trials' Gram matrices, upper triangles packed in one float32 stack.
-
-    `make_trial()` allocates the call's workspace and returns the trial function, which maps a
-    draw's rows R and U's SVD to the trial's float32 n x n Gram matrix F.T F, written with
-    `out=` (numpy's syrk path, so exactly symmetric) into a buffer it reuses.  The stack and
-    the Gram products are float32, the median float64.  A float32 inner product of length n
-    errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200
-    in the worst case, far below the noise level at which the trials' median varies.  Each
-    trial's upper triangle is folded into its row of the stack (`simgen.FoldedLayout`: three
-    block copies, no index); the workspace goes before the median, which partitions the stack
-    in place.
+    `grams` yields each trial's F.T F, written with `out=` (numpy's syrk path, so exactly
+    symmetric), into a workspace that the generator may reuse.  The stack and the Gram
+    products are float32, the median float64.  A float32 inner product of length n errs by at
+    most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200 in the worst
+    case, far below the noise level at which the trials' median varies.  Each Gram matrix's upper
+    triangle is folded into its row of the stack (`simgen.FoldedLayout`: three block copies, no
+    index).  The generator runs to its end and the last Gram matrix, a view of its workspace, is
+    dropped before the median, which partitions the stack in place.
     """
-    required = _required_rank(target_rank, rows, cols, rank_w)
-    n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
-    stack = np.empty((len(seeds), n * (n + 1) // 2), dtype=np.float32)
+    stack = np.empty((n_trials, n * (n + 1) // 2), dtype=np.float32)
     layout = simgen.FoldedLayout(n)
-    trial = make_trial()
-    for i, seed in enumerate(seeds):
-        row_indices, _, svd = _sample(w, rows, cols, required, seed)
-        layout.fold(trial(w[row_indices], svd), stack[i])
-    del layout, trial
+    for row, gram in zip(stack, grams, strict=True):
+        layout.fold(gram, row)
+    del layout, gram
     return simgen.median_aggregate(stack)
 
 
-def _factor_grams(factor, n):
-    """Trial function: F = factor(R, svd) in float32, its Gram matrix in one n x n buffer."""
-    gram = np.empty((n, n), dtype=np.float32)
+def _proto_grams(w, draws, m_subspaces: int, k: int):
+    """proto's trial Gram matrices, one per draw of `w`, in one workspace allocated once.
 
-    def trial(r_rows, svd):
-        f = factor(r_rows, svd).astype(np.float32)
-        return np.matmul(f.T, f, out=gram)
-
-    return trial
-
-
-def _proto_grams(m_subspaces, k, n):
-    """proto's trial function and its workspace, allocated once: no n x n array per trial.
-
-    One buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take
-    Y = pinv(U) R (k x n float64), which `simgen.threshold_volumetric` (looked up at call time)
-    writes, as often as it needs, with the same `np.matmul(..., out=)` call, so with the same
-    bits.  The threshold writes F (k x n float32) over the first 4kn bytes, rows of Y already
-    spent, and F.T F (n x n float32) goes into the bytes after F.  The workspace is 8n^2 bytes
-    at proto's default k = n (11.5 MB at n = 1200).
+    Each draw is `cur._sample`'s (rows, columns, U's SVD) with k columns.  One buffer of
+    max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take Y = pinv(U) R (k x n
+    float64), which `simgen.threshold_volumetric` (looked up at call time) writes, as often as it
+    needs, with the same `np.matmul(..., out=)` call, so with the same bits.  The threshold writes
+    F (k x n float32) over the first 4kn bytes, rows of Y already spent, and F.T F (n x n float32)
+    goes into the bytes after F.  The workspace is 8n^2 bytes at proto's default k = n (11.5 MB
+    at n = 1200).
     """
+    n = w.shape[1]
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
-
-    def trial(r_rows, svd):
-        pinv_u = _pinv_from_svd(*svd)
+    for rows, _, svd in draws:
+        pinv_u, r_rows = _pinv_from_svd(*svd), w[rows]
         f = simgen.threshold_volumetric(lambda out: np.matmul(pinv_u, r_rows, out=out),
                                         m_subspaces, y)
-        return np.matmul(f.T, f, out=gram)
+        yield np.matmul(f.T, f, out=gram)
 
-    return trial
+
+def _rcur_factors(w, r_max: int, seeds) -> list:
+    """V.T of one draw of r_max rows R = U S V.T per seed, cut to rank(R); R's zero columns stay 0.
+
+    With every column, U = R and Y = pinv(R) R = V V.T: column j has V.T's column norm, and V.T's
+    first r rows give rank r's Y for every r (Eckart and Young 1936).  Y is exactly 0 where R is,
+    but the SVD leaves up to 8e-14 there, which `simgen.normalize_columns` would scale up.
+    """
+    n = w.shape[1]
+    required = _required_rank(r_max, r_max, n, numerical_rank(w))
+    draws = [_sample(w, r_max, n, required, seed) for seed in seeds]
+    return [np.where(w[rows].any(axis=0), svd[2], 0.0) for rows, _, svd in draws]
+
+
+def _rcur_grams(factors, r: int, n: int):
+    """rcur's rank-r trial Gram matrices, of each factor's first r rows normalized, in one buffer."""
+    gram = np.empty((n, n), dtype=np.float32)
+    for vt in factors:
+        f = simgen.normalize_columns(vt[:r]).astype(np.float32)  # r x n: the product is n r n
+        yield np.matmul(f.T, f, out=gram)
 
 
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
@@ -175,10 +174,11 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     if config.target_rank > min(w.shape):
         raise ValueError("target_rank exceeds min(m, n)")
     n = w.shape[1]
-    cols = config.cols(n)
-    seeds = range(config.seed, config.seed + config.n_trials)
-    sim = _median_of_trials(w, numerical_rank(w), config.rows(), cols, config.target_rank, seeds,
-                            functools.partial(_proto_grams, config.m_subspaces, cols, n))
+    rows, cols = config.rows(), config.cols(n)
+    required = _required_rank(config.target_rank, rows, cols, numerical_rank(w))
+    draws = (_sample(w, rows, cols, required, seed)
+             for seed in range(config.seed, config.seed + config.n_trials))
+    sim = _median_of_grams(_proto_grams(w, draws, config.m_subspaces, cols), config.n_trials, n)
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 
@@ -198,26 +198,23 @@ def proto_cluster(w, config: ProtoConfig) -> LabelVector:
 def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     """Rank-sweep clustering; keeps the rank minimizing the Ncut value.
 
-    For each rank r in [r_min, r_max], medians n_trials CUR draws with all
-    columns and r rows, each the Gram matrix of V.T's normalized columns
-    (U = R, so Y = pinv(R) R = V V.T has V.T's column norms), raises the
-    median elementwise to alpha in place and clusters spectrally.  Ncut is
-    scored on the powered matrix that was clustered; ties go to the smaller rank.
+    Each of n_trials CUR draws takes r_max rows, every column and one SVD (`_rcur_factors`).  For
+    each rank r in [r_min, r_max], the median of the trials' Gram matrices of V.T's first r rows,
+    column-normalized, is raised elementwise to alpha in place and clustered spectrally with
+    config.seed, so rank r's result depends on r_max, not on r_min.  Ncut is scored on the
+    powered matrix that was clustered; ties go to the smaller rank.
     """
     w = as_matrix(w)
     m, n = w.shape
     if config.r_max > min(m, n):
         raise ValueError(f"r_max={config.r_max} exceeds min(m, n)={min(m, n)}")
-    rank_w = numerical_rank(w)
+    factors = _rcur_factors(w, config.r_max, range(config.seed, config.seed + config.n_trials))
     best = None
     ncut_per_rank = []
-    for rank_index, r in enumerate(range(config.r_min, config.r_max + 1)):
-        rank_seed = config.seed + 1000 * rank_index
-        seeds = range(rank_seed, rank_seed + config.n_trials)
-        sim = _median_of_trials(w, rank_w, r, n, r, seeds,
-                                functools.partial(_factor_grams, _rcur_factor, n))
+    for r in range(config.r_min, config.r_max + 1):
+        sim = _median_of_grams(_rcur_grams(factors, r, n), config.n_trials, n)
         simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
-        labels = _cluster.spectral_cluster(sim, m_subspaces, rank_seed)
+        labels = _cluster.spectral_cluster(sim, m_subspaces, config.seed)
         ncut = _cluster.ncut_value(sim, labels)
         ncut_per_rank.append((r, ncut))
         if best is None or ncut < best[1]:

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -201,6 +200,13 @@ class TestRcurCluster:
         random_labels = LabelVector(labels=rng.integers(0, 2, 20), m_clusters=2)
         assert ncut_value(sim, inst.truth) < ncut_value(sim, random_labels)
 
+    def test_rank_result_independent_of_r_min(self):
+        # every rank medians the same r_max-row draws and clusters with the config's seed
+        inst = sample_instance(random_union_model(25, [2, 3], seed=12), [7, 7], 0.03, seed=13)
+        results = [rcur_cluster(inst.data, 2, RcurConfig(r_min, 7, 2.0, n_trials=8, seed=1))
+                   for r_min in (3, 5)]
+        assert results[0].ncut_per_rank[2:] == results[1].ncut_per_rank
+
     def test_rejects_rank_above_matrix(self):
         cfg = RcurConfig(r_min=2, r_max=10, alpha=1.0, n_trials=1)
         with pytest.raises(ValueError):
@@ -250,11 +256,14 @@ class TestOneSvdPerTrial:
         assert counted["svd"] == 1 + 7
 
     def test_rcur(self, counted):
-        cfg = RcurConfig(r_min=3, r_max=6, alpha=2.0, n_trials=5, seed=1)
-        rcur_cluster(self.noisy().data, 2, cfg)
-        assert counted["select"] == 4 * 5
-        # eigh, not svd, embeds the spectral step
-        assert counted["svd"] == 1 + 4 * 5
+        # one draw of r_max rows per trial serves every rank
+        for r_min in (2, 4, 6):
+            counted.update(svd=0, select=0)
+            cfg = RcurConfig(r_min=r_min, r_max=6, alpha=2.0, n_trials=5, seed=1)
+            rcur_cluster(self.noisy().data, 2, cfg)
+            assert counted["select"] == 5
+            # eigh, not svd, embeds the spectral step
+            assert counted["svd"] == 1 + 5
 
 
 @pytest.fixture
@@ -392,35 +401,35 @@ class TestTrialWorkspace:
     """proto's trials reuse one buffer: Y, then F over spent rows of Y, and the Gram matrix after F."""
 
     @staticmethod
-    def draw(k, n, seed):
+    def draws(k, n, seeds):
         model = random_union_model(30, [4, 4, 4], seed=80)
         w = sample_instance(model, [n // 3] * 3, 0.01, seed=81).data
-        rows, _, svd = cur._sample(w, 12, k, 12, seed)
-        return w[rows], svd
+        return w, [cur._sample(w, 12, k, 12, seed) for seed in seeds]
 
     # proto_n1200's trial is 1200 x 1200; cols_per_trial = 100 gives a 100 x 300 Y
     @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (100, 300)])
     def test_gram_in_shared_buffer_matches_fresh(self, k, n):
-        trial = pipeline._proto_grams(3, k, n)
-        for seed in (0, 1):  # the second trial runs in the first one's workspace
-            r_rows, svd = self.draw(k, n, seed)
-            gram = trial(r_rows, svd)
-            f = threshold(linalg._pinv_from_svd(*svd) @ r_rows, 3)
+        w, draws = self.draws(k, n, (0, 1))
+        addresses = set()
+        for (rows, _, svd), gram in zip(draws, pipeline._proto_grams(w, draws, 3, k), strict=True):
+            f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
             fresh = np.empty((n, n), dtype=np.float32)
             np.matmul(f.T, f, out=fresh)
             assert gram.dtype == np.float32
             np.testing.assert_array_equal(gram.view(np.uint32), fresh.view(np.uint32))
             assert np.array_equal(gram, gram.T)
+            addresses.add(gram.__array_interface__["data"][0])
+        assert len(addresses) == 1  # the second trial runs in the first one's workspace
 
     def test_trial_allocates_no_n_by_n_array(self):
         n = 300
-        trial = pipeline._proto_grams(3, n, n)
-        draws = [self.draw(n, n, seed) for seed in range(3)]
-        trial(*draws[0])
+        w, draws = self.draws(n, n, range(4))
+        grams = pipeline._proto_grams(w, draws, 3, n)
+        next(grams)  # allocates the workspace
         tracemalloc.start()
         try:
-            for r_rows, svd in draws:
-                trial(r_rows, svd)
+            for _ in grams:
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -483,6 +492,8 @@ def proto_factor(m):
 
 def full_stack_median(w, rows, target_rank, seeds, factor):
     """The protocol before packing: a full k x n x n stack, its median, then 0.5 (med + med.T).
+
+    `factor(R, svd)` maps a draw's rows and U's SVD to the trial's factor F.
 
     The stack holds the float32 Gram products the trial loop takes; the median is widened to
     float64, as the packed median is.
@@ -565,10 +576,10 @@ class TestPackedMatchesFullStack:
                             lambda stack: medians.append(median_aggregate(stack)) or medians[-1])
         rcur_cluster(w, 3, cfg)
         assert len(medians) == 3
-        for rank_index, (r, sim) in enumerate(zip(range(8, 11), medians)):
-            rank_seed = cfg.seed + 1000 * rank_index
-            old = full_stack_median(w, r, r, range(rank_seed, rank_seed + n_trials),
-                                    pipeline._rcur_factor)
+        for r, sim in zip(range(8, 11), medians):
+            # every rank medians the same draws of r_max = 10 rows: V.T's first r rows
+            old = full_stack_median(w, 10, 10, range(cfg.seed, cfg.seed + n_trials),
+                                    lambda r_rows, svd: normalize_columns(svd[2][:r]))
             # rcur powers the median's own matrix in place
             np.testing.assert_array_equal(sim.entries, old**cfg.alpha)
 
@@ -584,15 +595,11 @@ class TestFloat32RankCutoff:
         # of the row space (U_r is 2 x 2 orthogonal), so every trial has the Gram coords coords.T
         w = np.random.default_rng(90).standard_normal((20, 2)) @ np.ones((2, n))
         w[1] += np.arange(n)
-        factor = lambda r_rows, svd: svd[0].T @ coords.T
-        seeds = range(7)
-        packed = pipeline._median_of_trials(w, 2, 2, n, 2, seeds,
-                                            functools.partial(pipeline._factor_grams, factor, n))
-        trials = []
-        for seed in seeds:
-            _, _, svd = cur._sample(w, 2, n, 2, seed)
-            f = factor(None, svd)
-            trials.append(f.T @ f)
+        factors = [cur._sample(w, 2, n, 2, seed)[2][0].T @ coords.T for seed in range(7)]
+        gram = np.empty((n, n), dtype=np.float32)
+        singles = [f.astype(np.float32) for f in factors]
+        packed = pipeline._median_of_grams((np.matmul(f.T, f, out=gram) for f in singles), 7, n)
+        trials = [f.T @ f for f in factors]
         med = np.abs(np.median(trials, axis=0))
         return packed, simgen.SimilarityMatrix(entries=0.5 * (med + med.T))
 
@@ -665,9 +672,9 @@ class TestOneSimilarityMatrix:
         result = rcur_cluster(w, 2, RcurConfig(r_min=4, r_max=6, alpha=2.0, n_trials=3))
         assert len(medians) == len(result.ncut_per_rank) == 3
         assert len(constructions) == 3  # one per rank: the median's own matrix
-        for rank_index, (sim, (_, ncut)) in enumerate(zip(medians, result.ncut_per_rank)):
-            # the powered median is the matrix that was clustered and scored
-            assert ncut_value(sim, cluster.spectral_cluster(sim, 2, 1000 * rank_index)) == ncut
+        for sim, (_, ncut) in zip(medians, result.ncut_per_rank):
+            # the powered median is the matrix that was clustered, with the config's seed, and scored
+            assert ncut_value(sim, cluster.spectral_cluster(sim, 2, 0)) == ncut
 
     def test_cluster_noise_free(self, constructions):
         inst = union_instance(4)
@@ -770,7 +777,7 @@ class TestProtoProperties:
 
 @st.composite
 def rcur_draws(draw):
-    """W of random rank, one zero and one duplicated column, n <= 60; r in [1, rank(W) + 1].
+    """W of random rank, one zero and one duplicated column, n <= 60; r_max in [1, rank(W) + 1].
 
     W is a product of Gaussian factors, so it is well conditioned.  Near-rank-deficient W (such a
     product plus 1e-3 noise, r at its numerical rank) is left out: there Y = pinv(R) R is itself
@@ -786,17 +793,24 @@ def rcur_draws(draw):
 
 
 class TestRcurFactor:
-    """rcur's trial Gram from V.T's normalized columns is the Gram of Y = pinv(R) R's."""
+    """Rank r's trial Gram, from the shared r_max-row draw, is the Gram of the normalized columns
+    of the draw's rank-r Y = V_r V_r.T, for every r up to r_max, r above rank(W) included."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(rcur_draws())
     def test_matches_normalized_coefficient_gram(self, instance):
-        w, r, seed = instance
+        w, r_max, seed = instance
         n = w.shape[1]
-        required = cur._required_rank(r, r, n, numerical_rank(w))
-        row_indices, _, svd = cur._sample(w, r, n, required, seed)
-        rows = w[row_indices]
-        y = normalize_columns(pinv(rows) @ rows)
-        f = pipeline._rcur_factor(rows, svd)
-        assert not f[:, 0].any()  # the zero point keeps an exactly zero column, as in Y
-        np.testing.assert_allclose(f.T @ f, y.T @ y, rtol=0, atol=1e-12)
+        [vt] = pipeline._rcur_factors(w, r_max, [seed])
+        required = cur._required_rank(r_max, r_max, n, numerical_rank(w))
+        rows = w[cur._sample(w, r_max, n, required, seed)[0]]
+        for r in range(1, r_max + 1):
+            svd = linalg.skinny_svd(rows, r)
+            # V_r V_r.T as V_r S_r^-1 U_r.T R, which keeps R's zero column exactly 0
+            y = normalize_columns((svd.right / svd.singulars) @ (svd.left.T @ rows))
+            f = normalize_columns(vt[:r])
+            np.testing.assert_allclose(f.T @ f, y.T @ y, rtol=0, atol=1e-12)
+            [gram] = pipeline._rcur_grams([vt], r, n)
+            f32 = f.astype(np.float32)
+            np.testing.assert_array_equal(gram, np.matmul(f32.T, f32, out=np.empty_like(gram)))
+            assert not gram[0].any()  # the zero point keeps an exactly zero row, as in Y
