@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 
 import numpy as np
 
@@ -64,43 +63,34 @@ def patched(patches):
             setattr(module, name, value)
 
 
-def shipped_keep(m_subspaces):
-    """Share of entries the shipped volumetric threshold keeps."""
-    return 1.0 - 1.0 / m_subspaces
+def shipped_keep(m_subspaces, size):
+    """Entries out of `size` the shipped volumetric threshold keeps: size - floor(size / M)."""
+    return size if m_subspaces == 1 else size - size // m_subspaces
 
 
-def minority_keep(m_subspaces):
-    return 1.0 / m_subspaces
+def minority_keep(m_subspaces, size):
+    """ceil(size / M) entries out of `size`."""
+    return -(-size // m_subspaces)
 
 
-def threshold(keep_fraction, per_column=False, latest_first=False):
-    """Volumetric threshold keeping keep_fraction(M) of the entries.
+def threshold(keep_count, per_column=False):
+    """Volumetric threshold keeping keep_count(M, size) of the entries, and the ties at the cut.
 
-    Global (the shipped rule) or per column; ties at the cut go to the
-    earliest row-major position, or to the latest with `latest_first`.
-    It takes the library kernel's arguments and, like it, returns float32
-    F; it uses the caller's workspace only to take Y from `fill`.
+    Global (the shipped rule, over all k n entries) or per column (over each
+    column's k).  Like the library kernel it takes (y, M), rounds Y to float32
+    F and keeps every entry with |F| at or above the cut; it returns a new
+    array and leaves `y` as it was.
     """
 
-    def apply(fill, m_subspaces, y):
-        fill(y)
-        mag = np.abs(y)
+    def apply(y, m_subspaces):
+        f = y.astype(np.float32)
+        mag = np.abs(f)
         if per_column:
-            keep = math.ceil(keep_fraction(m_subspaces) * y.shape[0])
-            rows = np.argsort(-mag, axis=0, kind="stable")[:keep]
-            mask = np.zeros(y.shape, dtype=bool)
-            np.put_along_axis(mask, rows, True, axis=0)
+            k = y.shape[0]
+            cut = np.sort(mag, axis=0)[k - keep_count(m_subspaces, k)]
         else:
-            keep = math.ceil(keep_fraction(m_subspaces) * y.size)
-            flat = mag.ravel()
-            if latest_first:
-                order = flat.size - 1 - np.argsort(-flat[::-1], kind="stable")
-            else:
-                order = np.argsort(-flat, kind="stable")
-            mask = np.zeros(flat.size, dtype=bool)
-            mask[order[:keep]] = True
-            mask = mask.reshape(y.shape)
-        return np.where(mask, y, 0.0).astype(np.float32)
+            cut = np.sort(mag, axis=None)[f.size - keep_count(m_subspaces, f.size)]
+        return np.where(mag >= cut, f, np.float32(0.0))
 
     return apply
 
@@ -147,9 +137,7 @@ VARIANTS = [
     ("sweep seed 3", {"seed": 3}, []),
     ("columns shuffled (`sample_instance(shuffle=True)`)", {},
      [(synth, "sample_instance", functools.partial(synth.sample_instance, shuffle=True))]),
-    ("threshold ties broken by latest position", {},
-     [(simgen, "threshold_volumetric", threshold(shipped_keep, latest_first=True))]),
-    ("threshold keeps ⌈kn/M⌉ instead of ⌈(1−1/M)kn⌉", {},
+    ("threshold keeps ⌈kn/M⌉ instead of kn − ⌊kn/M⌋", {},
      [(simgen, "threshold_volumetric", threshold(minority_keep))]),
     ("per-column threshold, keep 1−1/M", {},
      [(simgen, "threshold_volumetric", threshold(shipped_keep, per_column=True))]),

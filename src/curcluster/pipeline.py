@@ -130,20 +130,18 @@ def _proto_grams(w, draws, m_subspaces: int, k: int):
 
     Each draw is `cur._sample`'s (rows, columns, U's SVD) with k columns.  One buffer of
     max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take Y = pinv(U) R (k x n
-    float64), which `simgen.threshold_volumetric` (looked up at call time) writes, as often as it
-    needs, with the same `np.matmul(..., out=)` call, so with the same bits.  The threshold writes
-    F (k x n float32) over the first 4kn bytes, rows of Y already spent, and F.T F (n x n float32)
-    goes into the bytes after F.  The workspace is 8n^2 bytes at proto's default k = n (11.5 MB
-    at n = 1200).
+    float64), written once by `np.matmul(..., out=)`.  `simgen.threshold_volumetric` (looked up
+    at call time) rounds Y in place to F (k x n float32) over the first 4kn bytes and finds its
+    cut in the next 4kn, and F.T F (n x n float32) goes into the bytes after F.  The workspace is
+    8n^2 bytes at proto's default k = n (11.5 MB at n = 1200).
     """
     n = w.shape[1]
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
     for rows, _, svd in draws:
-        pinv_u, r_rows = _pinv_from_svd(*svd), w[rows]
-        f = simgen.threshold_volumetric(lambda out: np.matmul(pinv_u, r_rows, out=out),
-                                        m_subspaces, y)
+        np.matmul(_pinv_from_svd(*svd), w[rows], out=y)
+        f = simgen.threshold_volumetric(y, m_subspaces)
         yield np.matmul(f.T, f, out=gram)
 
 

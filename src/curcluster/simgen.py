@@ -6,7 +6,8 @@ data, so the Gram matrix Y.T Y raised to the largest subspace dimension
 is an exact similarity matrix.  The noisy pipelines instead combine a
 volumetric threshold, column normalization, entrywise medians over many
 random factorizations, and elementwise powers; those transforms all live
-here as well.
+here as well.  The threshold rounds Y to float32 in place and keeps every
+entry at or above its cut, so what it keeps depends on values only.
 
 Coefficient matrices are plain k x n numpy arrays; a `SimilarityMatrix`
 carries its entries only and validates them where it is built.  The
@@ -28,8 +29,8 @@ KINDS = ("binary", "absolute")
 
 
 #: bytes per block of the kernels that work on a matrix in pieces: the threshold's keep pass (27
-#: rows of Y at n = 1200, all 150 rows at n = 150; its masks take at most a quarter of a block)
-#: and the similarity matrix's symmetry check
+#: rows of F at n = 1200, all 150 rows at n = 150; its mask takes an eighth of a block) and the
+#: similarity matrix's symmetry check
 BLOCK_BYTES = 1 << 18
 
 
@@ -121,82 +122,44 @@ def _pattern_power(q: np.ndarray, p: int) -> np.ndarray:
     return binarize(square @ q) if p % 2 else square
 
 
-def threshold_volumetric(fill, m_subspaces: int, y: np.ndarray) -> np.ndarray:
-    """The ceil((1 - 1/M) * k * n) largest-magnitude entries of Y in float32, others +0.0.
+def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
+    """Y rounded to float32 F, its kn - floor(kn / M) largest magnitudes and ties kept, others +0.0.
 
-    `y` is the caller's C-contiguous k x n float64 workspace, so that a
-    trial loop can reuse it; its contents on entry do not matter.
-    `fill(y)` writes Y into it, and must write the same bits each time it
-    is called: it is called twice, once to find the cut and once to apply
-    it.  The result F is a float32 view of `y`'s first half.
-
-    Y's magnitudes are partitioned in place to find the cut value.  Entries
-    that equal it but fell below it in the partition are surplus ties: a
-    stable sort of -|Y| keeps the earliest row-major entries equal to the
-    cut.  With Y written again, each row block of `BLOCK_BYTES` bytes
-    gets a keep mask: every entry with |Y| >= cut or, while surplus ties
-    are left, every entry above the cut and the ties within the count.
-    F's rows are written over rows of Y already converted, one row first
-    and then as many rows as are done, so that no row of F overlaps a row
-    of Y that is still to be read: the temporaries are the block's masks
-    and one row.  F is Y rounded to float32, its bit patterns then
-    multiplied by the keep mask: a dropped entry is +0.0, never -0.0, and
-    no masked store, which is three times slower.  The masks keep `count`
-    entries unless the two fills differed (RuntimeError).  Y must be
-    finite, as the trial loop's coefficient matrices are.  M = 1 is
-    degenerate (the formula would keep nothing) and keeps every entry.
+    `y` is the caller's C-contiguous k x n float64 Y, which the threshold
+    spends: F is a float32 view of its first half.  F's rows are written over
+    rows of Y already converted, one row first and then as many rows as are
+    done, so that no row of F overlaps a row of Y that is still to be read.
+    |F| goes into Y's spent second half, where a partition finds the cut, the
+    |F| with floor(kn / M) entries below it in sorted order.  Every entry at
+    or above the cut is kept, so the kept set depends only on F's values: ties
+    at the cut, such as the mirrored pairs of a symmetric Y, are all kept.
+    F's bit patterns are multiplied by the keep mask one `BLOCK_BYTES` block
+    of rows at a time: a dropped entry is +0.0, never -0.0, and no masked
+    store, which is three times slower.  Y must be finite, as the trial loop's
+    coefficient matrices are.  M = 1 is degenerate (the (1 - 1/M) share would
+    keep nothing) and keeps every entry.
     """
-    fill(y)
-    size = y.size
-    raw = y.reshape(-1)
-    out = raw.view(np.float32)[:size].reshape(y.shape)
-    count = size if m_subspaces == 1 else math.ceil((1.0 - 1.0 / m_subspaces) * size)
-    cut, surplus, ties = -1.0, 0, 0  # keeps every entry
-    if count < size:
-        np.abs(raw, out=raw)
-        raw.partition(size - count)
-        cut = raw[size - count]
-        surplus = _count_blocks(raw[: size - count], lambda v: v == cut)
-        if surplus:  # the cut repeats past the count: keep only the ties within it
-            ties = count - _count_blocks(raw[size - count + 1 :], lambda v: v > cut)
-        fill(y)
-    rows = block_rows(y.shape[1])
-    kept = done = 0
-    for i in range(0, y.shape[0], rows):
-        block = y[i : i + rows]
-        if surplus:  # the ties, less those past the count, then every entry above the cut
-            keep = np.equal(block, cut)
-            np.logical_or(keep, np.equal(block, -cut), out=keep)
-            tied = np.flatnonzero(keep)
-            dropped = tied[ties : ties + surplus]
-            keep.flat[dropped] = False
-            surplus -= dropped.size
-            ties = max(0, ties - tied.size)
-            del tied, dropped  # before the next mask
-            np.logical_or(keep, np.greater(block, cut), out=keep)
-            np.logical_or(keep, np.less(block, -cut), out=keep)
-        else:  # |y| >= cut is y >= cut or y <= -cut
-            keep = np.greater_equal(block, cut)
-            np.logical_or(keep, np.less_equal(block, -cut), out=keep)
-        kept += np.count_nonzero(keep)
-        end = i + block.shape[0]
-        while done < end:  # rows [done, done + step) of F lie on rows of Y below `done`
-            step = min(max(done, 1), end - done)
-            np.copyto(out[done : done + step], y[done : done + step])
-            done += step
-        bits = out[i:end].view(np.int32)
-        np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
-        del keep  # before the next block's
-    if kept != count:
-        raise RuntimeError(f"the threshold kept {kept} entries, not {count}: "
-                           "fill(y) wrote different values the second time")
+    k, size = y.shape[0], y.size
+    halves = y.reshape(-1).view(np.float32)
+    out, mag = halves[:size].reshape(y.shape), halves[size:]
+    done = 0
+    while done < k:  # rows [done, done + step) of F lie on rows of Y below `done`
+        step = min(max(done, 1), k - done)
+        np.copyto(out[done : done + step], y[done : done + step])
+        done += step
+    drop = 0 if m_subspaces == 1 else size // m_subspaces
+    if drop:
+        np.abs(out.reshape(-1), out=mag)
+        mag.partition(drop)
+        cut = mag[drop]
+        rows = block_rows(y.shape[1])
+        for i in range(0, k, rows):
+            block = out[i : i + rows]
+            keep = np.abs(block, out=mag[: block.size].reshape(block.shape)) >= cut
+            bits = block.view(np.int32)
+            np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
+            del keep  # before the next block's
     return out
-
-
-def _count_blocks(values: np.ndarray, test) -> int:
-    """Entries of flat `values` that pass `test`, taken `BLOCK_BYTES` bytes at a time."""
-    step = BLOCK_BYTES // values.itemsize
-    return sum(np.count_nonzero(test(values[j : j + step])) for j in range(0, values.size, step))
 
 
 class FoldedLayout:

@@ -55,7 +55,11 @@ def test_spectral_reference_matches_library(ablate):
 
 def test_threshold_variants_reach_proto(ablate, monkeypatch):
     # proto's trials look simgen.threshold_volumetric up at call time, so a variant is used;
-    # the shipped share with earliest ties is the library's rule, bit for bit
+    # the shipped count with every tie at the cut kept is the library's rule, bit for bit
+    y = np.round(np.random.default_rng(0).standard_normal((12, 50)), 1)  # ties at the cut
+    for m in (1, 2, 3, 5, 8):
+        np.testing.assert_array_equal(ablate.threshold(ablate.shipped_keep)(y, m).view(np.uint32),
+                                      simgen.threshold_volumetric(y.copy(), m).view(np.uint32))
     model = synth.random_union_model(30, (3, 3, 3), 0)
     w = synth.sample_instance(model, (10, 10, 10), 0.05, 1).data
     cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=5)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -153,71 +152,76 @@ class TestThresholdVolumetric:
         y = np.array([[5.0, 0.0], [0.0, 3.0]])  # already half-sparse
         np.testing.assert_array_equal(threshold(y, 2), y)
 
-    def test_tie_break_row_major(self):
+    def test_all_equal_keeps_every_entry(self):
+        # ties at the cut are all kept: the kept set depends on values, not on position
         y = np.array([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(threshold(y, 2), [[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(threshold(y, 2), y)
 
     def test_dropped_entries_are_positive_zero(self, rng):
         y = -np.abs(rng.standard_normal((30, 40)))  # every entry negative
         out = threshold(y, 3)
         dropped = out == 0.0
-        assert np.count_nonzero(dropped) == y.size - math.ceil((1 - 1 / 3) * y.size)
+        assert np.count_nonzero(dropped) == y.size // 3
         assert not np.signbit(out[dropped]).any()
+
+    def test_keeps_two_thirds_exactly_at_three_subspaces(self, rng):
+        # (1 - 1/3) * kn rounds up past the exact count in floating point when 3 divides kn
+        magnitudes = rng.permutation(np.arange(1.0, 22_501.0)).reshape(150, 150)  # no ties
+        y = magnitudes * rng.choice([-1.0, 1.0], size=(150, 150))
+        assert np.count_nonzero(threshold(y, 3)) == 15_000
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_symmetric_y_gives_symmetric_f(self, seed):
+        # a mirrored pair of Y has one value, so the threshold keeps both entries or neither
+        vt = np.random.default_rng(300 + seed).standard_normal((4, 40))
+        y = vt.T @ vt
+        assert np.array_equal(y, y.T)
+        f = threshold(y, 3)
+        assert np.array_equal(f, f.T)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_writes_into_scratch(self, rng, m):
-        # fill writes Y into the workspace, twice unless every entry is kept; F is float32 in
-        # the workspace's first half
+        # F is float32 in the first half of the caller's Y
         y = rng.standard_normal((12, 40))
-        fills = []
-        workspace = np.empty(y.shape)
-        out = threshold_volumetric(lambda buf: fills.append(1) or np.copyto(buf, y), m, workspace)
-        assert len(fills) == (1 if m == 1 else 2)
+        workspace = y.copy()
+        out = threshold_volumetric(workspace, m)
         assert out.dtype == np.float32 and out.shape == y.shape
         assert out.ctypes.data == workspace.ctypes.data
-        np.testing.assert_array_equal(out, stable_sort_threshold(y, m).astype(np.float32))
+        np.testing.assert_array_equal(out, float32_cut_threshold(y, m))
 
     def test_ties_allocate_no_k_by_n_array(self):
-        # a repeated cut value takes the tie path; the partitioned tail is counted, Y is masked
-        # one block of rows at a time and F's rows go over rows of Y already converted, so the
-        # temporaries are a block's masks and one row, none of them k x n
+        # a repeated cut value; F is masked one block of rows at a time, F's rows go over rows
+        # of Y already converted and |F| over Y's spent second half, so the temporaries are a
+        # block's mask and one row, none of them k x n
         for shape in [(300, 300), (1200, 300)]:
             y = np.round(np.random.default_rng(3).standard_normal(shape), 1)
-            workspace = np.empty(y.shape)
+            workspace = y.copy()
             tracemalloc.start()
             try:
-                out = threshold_volumetric(lambda buf: np.copyto(buf, y), 3, workspace)
+                out = threshold_volumetric(workspace, 3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < y.size, f"{shape}: peak {peak / y.size:.2f} bool k x n arrays"
             assert peak < BLOCK_BYTES, f"{shape}: peak {peak / BLOCK_BYTES:.2f} blocks"
-            np.testing.assert_array_equal(out, stable_sort_threshold(y, 3).astype(np.float32))
-
-    def test_fills_that_differ_raise(self, rng):
-        # a cut taken from one Y and applied to another keeps some other number of entries
-        y = rng.standard_normal((12, 40))
-        fills = iter((y, 2.0 * y))
-        with pytest.raises(RuntimeError, match="fill"):
-            threshold_volumetric(lambda buf: np.copyto(buf, next(fills)), 3, np.empty(y.shape))
+            np.testing.assert_array_equal(out, float32_cut_threshold(y, 3))
 
 
-def stable_sort_threshold(y, m_subspaces):
-    """Reference volumetric threshold: a full stable argsort of -|y|."""
+def float32_cut_threshold(y, m_subspaces):
+    """Reference volumetric threshold: F = y in float32, kept where |F| >= a full sort's cut.
+
+    The cut is the sorted |F| with floor(kn / M) entries below it; dropped entries are +0.0.
+    """
+    f = y.astype(np.float32)
     if m_subspaces == 1:
-        return y.copy()
-    total = y.size
-    keep = math.ceil((1.0 - 1.0 / m_subspaces) * total)
-    order = np.argsort(-np.abs(y).ravel(), kind="stable")
-    mask = np.zeros(total, dtype=bool)
-    mask[order[:keep]] = True
-    out = y.copy().ravel()
-    out[~mask] = 0.0
-    return out.reshape(y.shape)
+        return f
+    mag = np.abs(f)
+    cut = np.sort(mag, axis=None)[f.size // m_subspaces]
+    return np.where(mag >= cut, f, np.float32(0.0))
 
 
 class TestThresholdMatchesStableSort:
-    """The partition threshold gives the stable-argsort result in float32, sign bits included.
+    """The partition threshold gives the full-sort reference's F, sign bits included.
 
     Each case runs in a fresh workspace and again in the same workspace, left dirty by a
     threshold of other values, as the trial loop reuses it.
@@ -225,12 +229,14 @@ class TestThresholdMatchesStableSort:
 
     @staticmethod
     def check(y, m):
-        ref = stable_sort_threshold(y, m).astype(np.float32).view(np.uint32)
+        ref = float32_cut_threshold(y, m).view(np.uint32)
         workspace = np.empty(y.shape)
         for other in (None, y[::-1, ::-1] * 3.0):
             if other is not None:
-                threshold_volumetric(lambda buf: np.copyto(buf, other), m, workspace)
-            out = threshold_volumetric(lambda buf: np.copyto(buf, y), m, workspace)
+                np.copyto(workspace, other)
+                threshold_volumetric(workspace, m)
+            np.copyto(workspace, y)
+            out = threshold_volumetric(workspace, m)
             assert out.shape == y.shape
             np.testing.assert_array_equal(out.view(np.uint32), ref)
 
@@ -257,7 +263,7 @@ class TestThresholdMatchesStableSort:
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("seed", range(4))
     def test_ties_across_row_blocks(self, seed, m):
-        # the kept ties at the cut can run on past the first block of rows, or start after it
+        # the ties at the cut can run on past the first block of rows, or start after it
         rng = np.random.default_rng(200 + seed)
         rows = block_rows(9)
         y = np.round(rng.standard_normal((2 * rows + 5, 9)), int(rng.integers(0, 2)))
