@@ -27,21 +27,28 @@ _DEGREE_FLOOR = 1e-12
 _PCC_RANK_TOL = float(np.finfo(np.float32).eps)
 
 #: order from which `pcc_cluster` tries the subspace iteration before a full
-#: `eigh`.  On `proto` medians (25 trials, sigma 0 to 0.1, M = 3, one BLAS
-#: thread of a 2-vCPU host) iteration, certificate and any fallback took a
-#: median 9.7 ms where `eigh` took 12.9 ms at n = 300 (9 of 12 certified;
-#: sigma 0.1 ran out of steps); at n = 210 half the medians fell back, costing more
-#: than `eigh` alone, and at n = 150 its cap of 18 steps is below the 22-31
-#: that convergence needs.  At n = 1200 it took 0.17-0.18 s for 0.5 s.
+#: `eigh`.  On `proto` medians (25 trials, sigma 0, 0.05 and 0.1, four each,
+#: M = 3, one BLAS thread of a 2-vCPU host) iteration, certificate and any
+#: fallback took a median 5.6 ms where `eigh` took 10.5 ms at n = 300 (8 of 12
+#: certified; sigma 0.1 needs 65-73 block products of the 37 allowed), and at
+#: n = 150 that cap of 18 is below the 21-33 that convergence needs.  At
+#: n = 1200 it took 0.10 s for 0.37 s.
 _SUBSPACE_MIN_N = 300
 _SUBSPACE_OVERSAMPLE = 5
 #: an accepted Ritz pair's residual bound, relative to the largest |Ritz value|;
 #: the round-off floor is about 1.5e-15 at n = 1200
 _SUBSPACE_TOL = 1e-14
 _SUBSPACE_SEED = 0
-#: steps over which the largest residual must halve; slower (over 0.84 a
-#: step) it would not reach `_SUBSPACE_TOL` within the cap at n = 1200
+#: steps over which the largest residual must halve.  Certified Case-2 medians
+#: at n = 1200 shrink it 5-30 times a step; the uniform 400 x 400 matrix of the
+#: tests, 0.73 a step, runs out of products (49 of 50) before it stalls
 _SUBSPACE_STALL = 4
+#: degree of the Chebyshev filter, so block products per step.  Products to
+#: certify three Case-2 medians at n = 1200 (`proto_n1200`'s 2-trial set-up
+#: median; 5 trials at sigma 0.1; 25 at sigma 0.15) by degree 1 (the plain
+#: shifted step), 2, 3, 4, 5, 6, 8: 62, 43, 40, 37, 36, 37, 41; 108, 65, 58,
+#: 53, 51, 55, 49; a stall, 95, 76, 73, 71, 67, 65
+_CHEBYSHEV_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -238,41 +245,58 @@ def _certified(a: np.ndarray, theta: np.ndarray, vectors: np.ndarray,
 
 
 def _leading_eigenpairs(a: np.ndarray, m: int):
-    """The m eigenpairs of largest |lambda| of symmetric `a` by block subspace iteration.
+    """The m eigenpairs of largest |lambda| of symmetric `a` by filtered block subspace iteration.
 
-    Iterates a block of m + `_SUBSPACE_OVERSAMPLE` orthonormal vectors,
-    from a fixed-seed Gaussian start, on a - s I with s = trace(a) / n:
-    for `proto`'s unit diagonal that is a - I, which moves the bulk of
-    eigenvalues near 1 to near 0, so the leading ones separate faster
-    (rate 0.15 / 0.37 in place of 1.15 / 1.37 at n = 1200).  Each step
-    takes one product Y = a X, a Rayleigh-Ritz step on `a` from X.T Y,
-    and X = qr(Y - s X).  Once every residual of the leading m Ritz pairs,
-    ordered by |theta| (ties in eigenvalue order), is at most
-    `_SUBSPACE_TOL` * max |theta|, returns them as (theta, vectors) if
-    `_certified` shows that no eigenvalue left out is as large, else None.
-    Gives up (None) after n // block steps, about the cost of one `eigh`,
-    and sooner once the largest residual fails to halve over
-    `_SUBSPACE_STALL` steps, a rate at which that cap mostly runs out first.
+    Iterates a block of m + `_SUBSPACE_OVERSAMPLE` orthonormal vectors from
+    a fixed-seed Gaussian start.  Each step takes one product Y = a X, a
+    Rayleigh-Ritz step on `a` from X.T Y, and X = qr(T_d((a - s I) / rho) X),
+    T_d the Chebyshev polynomial of degree d = `_CHEBYSHEV_DEGREE`, applied by
+    its three-term recurrence, whose first term reuses Y: d block products a
+    step (Rutishauser 1970; Zhou and Saad 2007).  s = trace(a) / n, for
+    `proto`'s unit diagonal 1, the middle of the bulk of eigenvalues, and rho
+    is the distance from s to the block's Ritz value of least |theta|, so
+    that |T_d| <= 1 on the bulk [s - rho, s + rho] and T_d grows fast outside
+    it, on either side, where the eigenvalues the block must capture lie.
+    Where rho is at round-off of the largest |theta| (0, say), the step is
+    the plain shifted X = qr(Y - s X), with no division.  Once every residual
+    of the leading m Ritz pairs, ordered by |theta| (ties in eigenvalue
+    order), is at most `_SUBSPACE_TOL` * max |theta|, returns them as (theta,
+    vectors) if `_certified` shows that no eigenvalue left out is as large,
+    else None.  Gives up (None) where the next step would take it past
+    n // block block products, about the cost of one `eigh`, and sooner once
+    the largest residual fails to halve over `_SUBSPACE_STALL` steps.
     """
     n = a.shape[0]
     block = min(m + _SUBSPACE_OVERSAMPLE, n)
     shift = np.trace(a) / n
     x = np.linalg.qr(np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, block)))[0]
-    history = []
-    for step in range(n // block):
+    history, spent = [], 0
+    while True:
         y = a @ x
+        spent += 1
         theta, rotation = np.linalg.eigh(x.T @ y)
-        order = np.argsort(-np.abs(theta), kind="stable")[:m]
-        theta, rotation = theta[order], rotation[:, order]
+        order = np.argsort(-np.abs(theta), kind="stable")
+        radius = abs(theta[order[-1]] - shift)
+        theta, rotation = theta[order[:m]], rotation[:, order[:m]]
         vectors, products = x @ rotation, y @ rotation
         residual = np.linalg.norm(products - vectors * theta, axis=0).max()
         if residual <= _SUBSPACE_TOL * abs(theta[0]):
             return (theta, vectors) if _certified(a, theta, vectors, products) else None
+        step = len(history)
         history.append(residual)
         if step >= _SUBSPACE_STALL and residual > 0.5 * history[step - _SUBSPACE_STALL]:
             return None
-        x = np.linalg.qr(y - shift * x)[0]
-    return None
+        degree = _CHEBYSHEV_DEGREE if radius > np.finfo(float).eps * abs(theta[0]) else 1
+        if spent + degree > n // block:
+            return None
+        # T_1 = (Y - s X) / rho, T_(j+1) = 2 (a - s I) T_j / rho - T_(j-1), with T_0 = X
+        previous, x = x, y - shift * x
+        if degree > 1:
+            x /= radius
+            for _ in range(degree - 1):
+                previous, x = x, 2 * ((a @ x - shift * x) / radius) - previous
+        spent += degree - 1
+        x = np.linalg.qr(x)[0]
 
 
 def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVector:
@@ -284,9 +308,9 @@ def pcc_cluster(sim: SimilarityMatrix, m_clusters: int, seed: int) -> LabelVecto
     singular values are the |lambda|, and the M eigenpairs of largest
     |lambda| (ties in eigenvalue order) scaled by |lambda| are the SVD's
     coordinates up to column sign, which k-means does not see.  From
-    order `_SUBSPACE_MIN_N` on they come from a shifted block subspace
-    iteration (`_leading_eigenpairs`) that accepts them only when their
-    residuals are at round-off level and two Cholesky factorizations
+    order `_SUBSPACE_MIN_N` on they come from a Chebyshev-filtered block
+    subspace iteration (`_leading_eigenpairs`) that accepts them only when
+    their residuals are at round-off level and two Cholesky factorizations
     certify that no eigenvalue left out is as large in magnitude;
     otherwise, and for smaller n, from a full `np.linalg.eigh`.
     Values at most `_PCC_RANK_TOL` * n times the largest are dropped, as

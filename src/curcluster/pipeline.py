@@ -158,11 +158,19 @@ def _rcur_factors(w, r_max: int, seeds) -> list:
     return [np.where(w[rows].any(axis=0), svd[2], 0.0) for rows, _, svd in draws]
 
 
-def _rcur_grams(factors, r: int, n: int):
-    """rcur's rank-r trial Gram matrices, of each factor's first r rows normalized, in one buffer."""
+def _rcur_grams(factors, squares, previous: int, r: int, n: int):
+    """rcur's rank-r trial Gram matrices, of each factor's first r rows normalized, in one buffer.
+
+    Row i of `squares` (n_trials x n) holds factor i's squared column norms over its first
+    `previous` rows; rows previous..r-1 are added to it one at a time, in the order in which
+    `np.linalg.norm(vt[:r], axis=0)` sums them, so the norms are bit for bit that norm's.  A
+    factor cut to fewer than r rows adds only the rows it has.
+    """
     gram = np.empty((n, n), dtype=np.float32)
-    for vt in factors:
-        f = simgen.normalize_columns(vt[:r]).astype(np.float32)  # r x n: the product is n r n
+    for vt, sq in zip(factors, squares, strict=True):
+        for row in vt[previous:r]:
+            sq += row * row
+        f = simgen.normalize_columns(vt[:r], np.sqrt(sq)).astype(np.float32)  # the product is n r n
         yield np.matmul(f.T, f, out=gram)
 
 
@@ -209,8 +217,10 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     factors = _rcur_factors(w, config.r_max, range(config.seed, config.seed + config.n_trials))
     best = None
     ncut_per_rank = []
+    squares, previous = np.zeros((config.n_trials, n)), 0  # squared column norms, rank to rank
     for r in range(config.r_min, config.r_max + 1):
-        sim = _median_of_grams(_rcur_grams(factors, r, n), config.n_trials, n)
+        sim = _median_of_grams(_rcur_grams(factors, squares, previous, r, n), config.n_trials, n)
+        previous = r
         simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
         labels = _cluster.spectral_cluster(sim, m_subspaces, config.seed)
         ncut = _cluster.ncut_value(sim, labels)

@@ -57,7 +57,8 @@ class SimilarityMatrix:
             raise ValueError(f"similarity matrix must be square, got {entries.shape}")
         rows = block_rows(n)
         for i in range(0, n, rows):
-            if not np.allclose(entries[i:i + rows], entries[:, i:i + rows].T, atol=1e-12):
+            block, mirror = entries[i:i + rows], entries[:, i:i + rows].T
+            if not (np.array_equal(block, mirror) or np.allclose(block, mirror, atol=1e-12)):
                 raise ValueError("similarity matrix must be symmetric")
         if entries.min() < 0:
             raise ValueError("similarity matrix entries must be nonnegative")
@@ -130,9 +131,11 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     rows of Y already converted, one row first and then as many rows as are
     done, so that no row of F overlaps a row of Y that is still to be read.
     |F| goes into Y's spent second half, where a partition finds the cut, the
-    |F| with floor(kn / M) entries below it in sorted order.  Every entry at
-    or above the cut is kept, so the kept set depends only on F's values: ties
-    at the cut, such as the mirrored pairs of a symmetric Y, are all kept.
+    |F| with floor(kn / M) entries below it in sorted order.  The partition is
+    on |F|'s bits as int32, which order as the values do (|F| >= +0.0 and
+    finite) and which numpy selects 3-4 times faster.  Every entry at or above
+    the cut is kept, so the kept set depends only on F's values: ties at the
+    cut, such as the mirrored pairs of a symmetric Y, are all kept.
     F's bit patterns are multiplied by the keep mask one `BLOCK_BYTES` block
     of rows at a time: a dropped entry is +0.0, never -0.0, and no masked
     store, which is three times slower.  Y must be finite, as the trial loop's
@@ -150,7 +153,7 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     drop = 0 if m_subspaces == 1 else size // m_subspaces
     if drop:
         np.abs(out.reshape(-1), out=mag)
-        mag.partition(drop)
+        mag.view(np.int32).partition(drop)
         cut = mag[drop]
         rows = block_rows(y.shape[1])
         for i in range(0, k, rows):
@@ -238,9 +241,14 @@ def enforce_diagonal(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def normalize_columns(y: np.ndarray) -> np.ndarray:
-    """Scale each column to unit Euclidean norm; zero columns stay zero."""
-    norms = np.linalg.norm(y, axis=0)
+def normalize_columns(y: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Scale each column to unit Euclidean norm; zero columns stay zero.
+
+    `norms`, where the caller has them, are y's column norms, to be used in place of
+    `np.linalg.norm(y, axis=0)`.
+    """
+    if norms is None:
+        norms = np.linalg.norm(y, axis=0)
     safe = np.where(norms < 1e-14, 1.0, norms)
     return y / safe
 

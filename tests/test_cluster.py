@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,6 +272,11 @@ def median_600():
     return proto_median(600, seed=88, n_trials=25)
 
 
+@pytest.fixture(scope="module")
+def median_300():
+    return proto_median(300, seed=0, n_trials=3)
+
+
 class TestPccSubspaceIteration:
     """From order `_SUBSPACE_MIN_N` on, the coordinates come from the shifted subspace iteration."""
 
@@ -337,6 +343,87 @@ class TestPccSubspaceIteration:
         n = cluster._SUBSPACE_MIN_N
         with pytest.raises(ValueError):
             pcc_cluster(SimilarityMatrix(entries=np.zeros((n, n))), 2, seed=0)
+
+
+def leading_pairs_and_products(a, m=3):
+    """`_leading_eigenpairs(a, m)` and the number of block products a @ X it took."""
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    return cluster._leading_eigenpairs(a.view(Counting), m), len(products)
+
+
+def assert_pairs_match_eigh(found, a, m=3):
+    """Certified pairs equal to `eigh`'s m of largest |lambda|, vectors up to sign."""
+    values, vectors = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(values), kind="stable")[:m]
+    scale = np.abs(values).max()
+    np.testing.assert_allclose(found[0], values[order], rtol=0, atol=1e-12 * scale)
+    signs = np.sign(np.sum(found[1] * vectors[:, order], axis=0))
+    np.testing.assert_allclose(found[1] * signs, vectors[:, order], rtol=0, atol=1e-10)
+
+
+class TestChebyshevFilter:
+    """The filtered iteration's product counts, its plain step at rho = 0, and its scale range."""
+
+    def test_few_products_on_a_two_trial_median(self):
+        # the plain shifted step took 37 block products here; the filter takes 29
+        a = proto_median(600, seed=88, n_trials=2).entries
+        found, products = leading_pairs_and_products(a)
+        assert found is not None and products <= 33
+        assert_pairs_match_eigh(found, a)
+
+    def test_certifies_where_the_plain_step_runs_out(self):
+        # shifted by s = 1: 2.0, 0.5, 0.4 lead a bulk from -0.06 to 0.25, sparse at its top as in
+        # proto's medians; the plain shifted step converges at about 0.25 / 0.4 a product and runs
+        # out of its 50, the filter certifies in 37
+        n = 400
+        q = np.linalg.qr(np.random.default_rng(91).standard_normal((n, n)))[0]
+        lam = 1.0 + np.concatenate([[2.0, 0.5, 0.4],
+                                    -0.06 + 0.31 * np.linspace(0.0, 1.0, n - 3) ** 4])
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+        found, products = leading_pairs_and_products(a)
+        assert found is not None and products <= n // (3 + cluster._SUBSPACE_OVERSAMPLE)
+        assert_pairs_match_eigh(found, a)
+
+    def test_zero_radius_takes_the_plain_step(self, monkeypatch):
+        # unit diagonal, so s = 1 exactly, and a unit-vector start on eight points with no edge
+        # between them: every first Ritz value is exactly 1, rho = 0, and a filter would divide
+        # by it (a RuntimeWarning, which the suite makes an error)
+        n = 300
+        rng = np.random.default_rng(92)
+        groups = np.repeat([0, 1, 2], 100)
+        a = (0.3 + 0.2 * rng.random((n, n))) * (groups[:, None] == groups)
+        a += 0.05 * rng.random((n, n))
+        a = np.triu(a, 1) + np.triu(a, 1).T + np.eye(n)
+        a[:8, :8] = np.eye(8)
+        start = SimpleNamespace(standard_normal=lambda shape: np.eye(*shape))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: start)
+        block = 3 + cluster._SUBSPACE_OVERSAMPLE
+        x = np.linalg.qr(np.eye(n, block))[0]
+        assert np.trace(a) / n == 1.0 and np.all(np.linalg.eigh(x.T @ a @ x)[0] == 1.0)
+        found, products = leading_pairs_and_products(a)
+        assert found is not None and products <= n // block
+        assert_pairs_match_eigh(found, a)
+
+    @pytest.mark.parametrize("exponent", [-1000, -500, -30, 40, 500])
+    def test_finite_at_every_scale(self, exponent, median_300):
+        # a power-of-two scale of a 3-trial median: certified pairs are finite and give the
+        # labels of scale 1; at 2^-1000 the subnormal round-off leaves them uncertified and
+        # `eigh` takes over
+        sim = median_300
+        scaled = np.ldexp(sim.entries, exponent)
+        found = cluster._leading_eigenpairs(scaled, 3)
+        if found is not None:
+            assert np.isfinite(found[0]).all() and np.isfinite(found[1]).all()
+            assert_pairs_match_eigh(found, scaled)
+        np.testing.assert_array_equal(pcc_cluster(SimilarityMatrix(entries=scaled), 3, 0).labels,
+                                      pcc_cluster(sim, 3, 0).labels)
 
 
 class TestConnectedComponents:

@@ -804,13 +804,14 @@ class TestRcurFactor:
         [vt] = pipeline._rcur_factors(w, r_max, [seed])
         required = cur._required_rank(r_max, r_max, n, numerical_rank(w))
         rows = w[cur._sample(w, r_max, n, required, seed)[0]]
+        squares = np.zeros((1, n))  # the running squared column norms, rank to rank
         for r in range(1, r_max + 1):
             svd = linalg.skinny_svd(rows, r)
             # V_r V_r.T as V_r S_r^-1 U_r.T R, which keeps R's zero column exactly 0
             y = normalize_columns((svd.right / svd.singulars) @ (svd.left.T @ rows))
             f = normalize_columns(vt[:r])
             np.testing.assert_allclose(f.T @ f, y.T @ y, rtol=0, atol=1e-12)
-            [gram] = pipeline._rcur_grams([vt], r, n)
+            [gram] = pipeline._rcur_grams([vt], squares, r - 1, r, n)
             f32 = f.astype(np.float32)
             np.testing.assert_array_equal(gram, np.matmul(f32.T, f32, out=np.empty_like(gram)))
             assert not gram[0].any()  # the zero point keeps an exactly zero row, as in Y

@@ -271,6 +271,48 @@ class TestThresholdMatchesStableSort:
 
 
 @st.composite
+def tie_heavy_or_degenerate(draw):
+    """Y of the threshold's tie-heavy and degenerate inputs, and M.
+
+    Gaussians rounded to 0 or 1 decimals (ties, -0.0 and +/- pairs), all-equal entries, all
+    zeros of either sign, and entries at float32's subnormal and largest scales.
+    """
+    k, n = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["rounded", "all-equal", "zeros", "extreme"]))
+    if kind == "rounded":
+        y = np.round(rng.standard_normal((k, n)), draw(st.integers(0, 1)))
+    elif kind == "all-equal":
+        y = np.full((k, n), draw(st.sampled_from([-0.3, 2.5, 1e-40, -3e38])))
+    elif kind == "zeros":
+        y = np.where(rng.random((k, n)) < 0.5, -0.0, 0.0)
+    else:
+        y = rng.choice([0.0, -0.0, 1e-45, -1e-40, 1e-38, 3e38, -3.4e38], size=(k, n))
+    return y, draw(st.sampled_from([2, 3, 5, 8]))
+
+
+class TestThresholdCutOnBits:
+    """The cut from the int32 partition of |F|'s bits is the float partition's, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(tie_heavy_or_degenerate())
+    def test_cut_and_kept_set_match_float_partition(self, case):
+        y, m = case
+        f = y.astype(np.float32)
+        mag = np.abs(f).reshape(-1)
+        drop = mag.size // m
+        if drop:
+            cut = np.partition(mag, drop)[drop]
+            on_bits = mag.copy()
+            on_bits.view(np.int32).partition(drop)
+            assert on_bits[drop].view(np.uint32) == cut.view(np.uint32)
+        else:  # fewer entries than M: nothing is dropped
+            cut = mag.min()
+        kept = np.where(np.abs(f) >= cut, f, np.float32(0.0))
+        np.testing.assert_array_equal(threshold(y, m).view(np.uint32), kept.view(np.uint32))
+
+
+@st.composite
 def near_symmetric(draw):
     """Symmetric positive n x n matrix with one entry moved by about the check's tolerance.
 
@@ -302,6 +344,32 @@ class TestSymmetryCheck:
         else:
             with pytest.raises(ValueError, match="must be symmetric"):
                 SimilarityMatrix(entries=e)
+
+    @pytest.mark.parametrize("asymmetry, accepted", [(1e-13, True), (1e-9, False)])
+    def test_tolerance_on_a_matrix_not_bit_symmetric(self, rng, asymmetry, accepted):
+        # where the mirror is 0 the tolerance is atol = 1e-12; the entry is in a later block
+        a = rng.random((200, 200))
+        e = a + a.T
+        e[3, 150], e[150, 3] = 0.0, asymmetry
+        if accepted:
+            assert SimilarityMatrix(entries=e).entries is e
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                SimilarityMatrix(entries=e)
+
+    def test_exactly_symmetric_peak_is_under_half_a_block(self, rng):
+        # a bit-symmetric block is accepted by np.array_equal, whose temporaries are a block's
+        # bools and numpy's buffer for the transposed view; np.allclose made three block-sized
+        # float temporaries, 2.07 blocks here
+        a = rng.random((150, 150))
+        e = a + a.T
+        tracemalloc.start()
+        try:
+            SimilarityMatrix(entries=e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * BLOCK_BYTES, f"peak {peak / BLOCK_BYTES:.2f} blocks"
 
     def test_peak_below_half_a_matrix(self, rng):
         n = 1200
