@@ -163,14 +163,14 @@ def _run_algorithm(parser, args, dataset: DatasetFile):
             target_rank=args.rank,
             n_trials=args.k,
             rows_per_trial=args.rows,
-            cols_per_trial="all" if args.cols is None else args.cols,
+            cols_per_trial=args.cols,
             backend=args.backend,
             seed=args.seed,
         )
         labels = pipeline.proto_cluster(w, cfg)
         params = (
             f"M={args.M};rank={args.rank};k={args.k};rows={cfg.rows()};"
-            f"cols={cfg.cols_per_trial};backend={args.backend}"
+            f"cols={cfg.cols(w.shape[1])};backend={args.backend}"
         )
         return labels, None, params
     if args.algo == "rcur":
@@ -356,7 +356,7 @@ def _add_cluster_flags(sub) -> None:
     sub.add_argument("--dmax", type=count, help="ignored: the exact path needs no dimension")
     sub.add_argument("--k", type=int, default=25, help="number of CUR trials")
     sub.add_argument("--rows", type=count, help="rows per trial (default: rank)")
-    sub.add_argument("--cols", type=count, help="columns per trial (default: all)")
+    sub.add_argument("--cols", type=count, help="columns per trial (default: min(n, 24 * rank))")
     sub.add_argument("--alpha", type=float, help="elementwise power (rcur)")
     sub.add_argument("--rmin", type=count, help="minimum sweep rank (rcur)")
     sub.add_argument("--rmax", type=count, help="maximum sweep rank (rcur)")

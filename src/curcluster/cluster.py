@@ -30,19 +30,25 @@ _PCC_RANK_TOL = float(np.finfo(np.float32).eps)
 #: `eigh`.  On `proto` medians (25 trials, sigma 0, 0.05 and 0.1, four each,
 #: M = 3, one BLAS thread of a 2-vCPU host) iteration, certificate and any
 #: fallback took a median 5.6 ms where `eigh` took 10.5 ms at n = 300 (8 of 12
-#: certified; sigma 0.1 needs 65-73 block products of the 37 allowed), and at
-#: n = 150 that cap of 18 is below the 21-33 that convergence needs.  At
-#: n = 1200 it took 0.10 s for 0.37 s.
+#: certified; sigma 0.1 needs 65-73 block products of the 37 allowed, and the
+#: rate rule of `_SUBSPACE_RATE_STEPS` gives up after 13), and at n = 150 that
+#: cap of 18 is below the 21-33 that convergence needs.  At n = 1200 it took
+#: 0.10 s for 0.37 s.
 _SUBSPACE_MIN_N = 300
 _SUBSPACE_OVERSAMPLE = 5
 #: an accepted Ritz pair's residual bound, relative to the largest |Ritz value|;
 #: the round-off floor is about 1.5e-15 at n = 1200
 _SUBSPACE_TOL = 1e-14
 _SUBSPACE_SEED = 0
-#: steps over which the largest residual must halve.  Certified Case-2 medians
-#: at n = 1200 shrink it 5-30 times a step; the uniform 400 x 400 matrix of the
-#: tests, 0.73 a step, runs out of products (49 of 50) before it stalls
-_SUBSPACE_STALL = 4
+#: steps over which the largest residual's rate per block product is measured.
+#: The iteration gives up where that rate, kept for the products left, would not
+#: reach the tolerance: the uniform 400 x 400 matrix of the tests (0.92 a product)
+#: does so after 13 of its 50 products, and so do the n = 300 Case-2 medians at
+#: sigma 0.1 (25 trials) that ran out of their 37.  The residual of every
+#: `proto_n1200` median at seeds 0-10 (the set-up's and all three inputs') projects
+#: to below 1e-38 of the tolerance, of 25 trials at sigma 0.15 to 4e-11; 2 steps
+#: project less surely (1e-36, 3e-8)
+_SUBSPACE_RATE_STEPS = 3
 #: degree of the Chebyshev filter, so block products per step.  Products to
 #: certify three Case-2 medians at n = 1200 (`proto_n1200`'s 2-trial set-up
 #: median; 5 trials at sigma 0.1; 25 at sigma 0.15) by degree 1 (the plain
@@ -263,14 +269,16 @@ def _leading_eigenpairs(a: np.ndarray, m: int):
     order), is at most `_SUBSPACE_TOL` * max |theta|, returns them as (theta,
     vectors) if `_certified` shows that no eigenvalue left out is as large,
     else None.  Gives up (None) where the next step would take it past
-    n // block block products, about the cost of one `eigh`, and sooner once
-    the largest residual fails to halve over `_SUBSPACE_STALL` steps.
+    n // block block products, about the cost of one `eigh`, and sooner where
+    the largest residual, shrinking for the products left at the rate per
+    product it kept over the last `_SUBSPACE_RATE_STEPS` steps, would still be
+    above the tolerance.
     """
     n = a.shape[0]
     block = min(m + _SUBSPACE_OVERSAMPLE, n)
     shift = np.trace(a) / n
     x = np.linalg.qr(np.random.default_rng(_SUBSPACE_SEED).standard_normal((n, block)))[0]
-    history, spent = [], 0
+    history, spent, budget = [], 0, n // block
     while True:
         y = a @ x
         spent += 1
@@ -280,14 +288,17 @@ def _leading_eigenpairs(a: np.ndarray, m: int):
         theta, rotation = theta[order[:m]], rotation[:, order[:m]]
         vectors, products = x @ rotation, y @ rotation
         residual = np.linalg.norm(products - vectors * theta, axis=0).max()
-        if residual <= _SUBSPACE_TOL * abs(theta[0]):
+        tolerance = _SUBSPACE_TOL * abs(theta[0])
+        if residual <= tolerance:
             return (theta, vectors) if _certified(a, theta, vectors, products) else None
-        step = len(history)
-        history.append(residual)
-        if step >= _SUBSPACE_STALL and residual > 0.5 * history[step - _SUBSPACE_STALL]:
-            return None
+        history.append((spent, residual))
+        if len(history) > _SUBSPACE_RATE_STEPS:
+            then, before = history[-1 - _SUBSPACE_RATE_STEPS]
+            windows_left = (budget - spent) / (spent - then)
+            if not residual < before or residual * (residual / before) ** windows_left > tolerance:
+                return None
         degree = _CHEBYSHEV_DEGREE if radius > np.finfo(float).eps * abs(theta[0]) else 1
-        if spent + degree > n // block:
+        if spent + degree > budget:
             return None
         # T_1 = (Y - s X) / rho, T_(j+1) = 2 (a - s I) T_j / rho - T_(j-1), with T_0 = X
         previous, x = x, y - shift * x

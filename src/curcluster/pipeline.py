@@ -31,7 +31,7 @@ class ProtoConfig:
     target_rank: int
     n_trials: int = 25
     rows_per_trial: int | None = None  # defaults to target_rank
-    cols_per_trial: int | str = "all"
+    cols_per_trial: int | str | None = None  # defaults to min(n, 24 * target_rank); "all" is n
     backend: str = "pcc"
     seed: int = 0
 
@@ -54,6 +54,8 @@ class ProtoConfig:
         return self.target_rank if self.rows_per_trial is None else self.rows_per_trial
 
     def cols(self, n: int) -> int:
+        if self.cols_per_trial is None:
+            return min(n, 24 * self.target_rank)
         return n if self.cols_per_trial == "all" else int(self.cols_per_trial)
 
 
@@ -125,22 +127,25 @@ def _median_of_grams(grams, n_trials: int, n: int) -> simgen.SimilarityMatrix:
     return simgen.median_aggregate(stack)
 
 
-def _proto_grams(w, draws, m_subspaces: int, k: int):
+def _proto_grams(w, draws, m_subspaces: int, k: int, rank: int):
     """proto's trial Gram matrices, one per draw of `w`, in one workspace allocated once.
 
-    Each draw is `cur._sample`'s (rows, columns, U's SVD) with k columns.  One buffer of
-    max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take Y = pinv(U) R (k x n
-    float64), written once by `np.matmul(..., out=)`.  `simgen.threshold_volumetric` (looked up
-    at call time) rounds Y in place to F (k x n float32) over the first 4kn bytes and finds its
-    cut in the next 4kn, and F.T F (n x n float32) goes into the bytes after F.  The workspace is
-    8n^2 bytes at proto's default k = n (11.5 MB at n = 1200).
+    Each draw is `cur._sample`'s (rows, columns, U's SVD) with k columns.  The SVD is cut to
+    `rank`, U's best rank-`rank` approximation (Eckart and Young 1936), so that s rows beyond the
+    target rank estimate a rank-`rank` row space; at s = rank the cut changes nothing.  One
+    buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take
+    Y = pinv(U) R (k x n float64), written once by `np.matmul(..., out=)`.
+    `simgen.threshold_volumetric` (looked up at call time) rounds Y in place to F (k x n float32)
+    over the first 4kn bytes and finds its cut in the next 4kn, and F.T F (n x n float32) goes
+    into the bytes after F.  At proto's default k = min(n, 24 r) the workspace is 4n^2 + 4kn
+    bytes (7.1 MB at n = 1200, r = 12), and 8n^2 at k = n.
     """
     n = w.shape[1]
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
-    for rows, _, svd in draws:
-        np.matmul(_pinv_from_svd(*svd), w[rows], out=y)
+    for rows, _, (u, s, vt) in draws:
+        np.matmul(_pinv_from_svd(u[:, :rank], s[:rank], vt[:rank]), w[rows], out=y)
         f = simgen.threshold_volumetric(y, m_subspaces)
         yield np.matmul(f.T, f, out=gram)
 
@@ -184,7 +189,8 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     required = _required_rank(config.target_rank, rows, cols, numerical_rank(w))
     draws = (_sample(w, rows, cols, required, seed)
              for seed in range(config.seed, config.seed + config.n_trials))
-    sim = _median_of_grams(_proto_grams(w, draws, config.m_subspaces, cols), config.n_trials, n)
+    grams = _proto_grams(w, draws, config.m_subspaces, cols, required)
+    sim = _median_of_grams(grams, config.n_trials, n)
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 

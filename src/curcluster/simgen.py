@@ -29,7 +29,7 @@ KINDS = ("binary", "absolute")
 
 
 #: bytes per block of the kernels that work on a matrix in pieces: the threshold's keep pass (27
-#: rows of F at n = 1200, all 150 rows at n = 150; its mask takes an eighth of a block) and the
+#: rows of F at n = 1200, all 150 rows at n = 150; its mask is made in |F|'s scratch) and the
 #: similarity matrix's symmetry check
 BLOCK_BYTES = 1 << 18
 
@@ -136,11 +136,13 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     finite) and which numpy selects 3-4 times faster.  Every entry at or above
     the cut is kept, so the kept set depends only on F's values: ties at the
     cut, such as the mirrored pairs of a symmetric Y, are all kept.
-    F's bit patterns are multiplied by the keep mask one `BLOCK_BYTES` block
+    F's bit patterns are ANDed with an int32 keep mask one `BLOCK_BYTES` block
     of rows at a time: a dropped entry is +0.0, never -0.0, and no masked
-    store, which is three times slower.  Y must be finite, as the trial loop's
-    coefficient matrices are.  M = 1 is degenerate (the (1 - 1/M) share would
-    keep nothing) and keeps every entry.
+    store, which is three times slower.  The mask is made in |F|'s scratch,
+    from its bits: (cut - 1 - |F|) >> 31 is -1 where |F| >= cut and 0 below,
+    with no overflow since both bit patterns are below 0x7F800000.  Y must be
+    finite, as the trial loop's coefficient matrices are.  M = 1 is degenerate
+    (the (1 - 1/M) share would keep nothing) and keeps every entry.
     """
     k, size = y.shape[0], y.size
     halves = y.reshape(-1).view(np.float32)
@@ -154,14 +156,15 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     if drop:
         np.abs(out.reshape(-1), out=mag)
         mag.view(np.int32).partition(drop)
-        cut = mag[drop]
+        below_cut = mag.view(np.int32)[drop] - np.int32(1)
         rows = block_rows(y.shape[1])
         for i in range(0, k, rows):
             block = out[i : i + rows]
-            keep = np.abs(block, out=mag[: block.size].reshape(block.shape)) >= cut
+            keep = np.abs(block, out=mag[: block.size].reshape(block.shape)).view(np.int32)
+            np.subtract(below_cut, keep, out=keep)
+            np.right_shift(keep, 31, out=keep)  # -1 (every bit) where |F| >= cut, else 0
             bits = block.view(np.int32)
-            np.multiply(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
-            del keep  # before the next block's
+            np.bitwise_and(bits, keep, out=bits)  # on the bits, so a dropped entry is +0.0
     return out
 
 

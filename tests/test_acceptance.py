@@ -240,9 +240,9 @@ def test_criterion_7_ncut_oracle_equivalence():
     report(7, worst <= 1e-12, f"worst deviation {worst:.2e}")
 
 
-def _sweep(case, sigmas, backend):
+def _sweep_config(case, backend):
     dims = CASE_DIMS[case]
-    cfg = ProtoConfig(
+    return ProtoConfig(
         m_subspaces=len(dims),
         target_rank=sum(dims),
         n_trials=25,
@@ -250,7 +250,10 @@ def _sweep(case, sigmas, backend):
         backend=backend,
         seed=0,
     )
-    return run_sweep(dims, sigmas, 20, cfg, seed=0)
+
+
+def _sweep(case, sigmas, backend):
+    return run_sweep(CASE_DIMS[case], sigmas, 20, _sweep_config(case, backend), seed=0)
 
 
 def test_criterion_8a_low_noise_error_bounds():

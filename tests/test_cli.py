@@ -211,6 +211,17 @@ class TestClusterCommand:
         main(argv + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a.labels").read_bytes() == (tmp_path / "b.labels").read_bytes()
 
+    @pytest.mark.parametrize("flags, cols", [([], 288), (["--cols", "300"], 300),
+                                             (["--cols", "40"], 40)])
+    def test_proto_params_show_resolved_columns(self, tmp_path, flags, cols):
+        # n = 300 at rank 12: by default a trial takes min(n, 24 * 12) = 288 columns
+        data = tmp_path / "big.csv"
+        main(["synth", "--case", "2", "--points", "100", "--sigma", "0.05", "--out", str(data)])
+        assert main(["cluster", str(data), "--algo", "proto", "--M", "3", "--rank", "12",
+                     "--k", "3", "--out", str(tmp_path / "p")] + flags) == 0
+        (row,) = csv.DictReader(open(tmp_path / "p.report.csv"))
+        assert row["params"] == f"M=3;rank=12;k=3;rows=12;cols={cols};backend=pcc"
+
     def test_rcur_reports_rank(self, dataset, tmp_path, capsys):
         code = main(["cluster", str(dataset), "--algo", "rcur", "--M", "2",
                      "--rmin", "6", "--rmax", "9", "--alpha", "2", "--k", "5",

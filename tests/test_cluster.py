@@ -333,11 +333,15 @@ class TestPccSubspaceIteration:
         assert cluster._certified(a, values[:3], q[:, :3], a @ q[:, :3]) is certified
 
     def test_gives_up_when_stalled(self, monkeypatch):
-        # uniform: 199.3, then -11.98, -11.59, -11.37, ...: the residual shrinks about 7% a step
+        # uniform: 199.3, then -11.98, -11.59, -11.37, ...: the residual shrinks about 8% a
+        # block product, so it would need about 400 products; the iteration stops after 13 of
+        # its 50
         a = np.triu(np.random.default_rng(87).random((400, 400)), 1)
-        _, orders = pcc_points(monkeypatch, SimilarityMatrix(entries=a + a.T), 3)
-        block = 3 + cluster._SUBSPACE_OVERSAMPLE
-        assert orders[-1] == 400 and orders.count(block) < 400 // block
+        a = a + a.T
+        found, products = leading_pairs_and_products(a)
+        assert found is None and products <= 16
+        _, orders = pcc_points(monkeypatch, SimilarityMatrix(entries=a), 3)
+        assert orders[-1] == 400
 
     def test_all_zero_raises(self):
         n = cluster._SUBSPACE_MIN_N
@@ -371,7 +375,8 @@ class TestChebyshevFilter:
     """The filtered iteration's product counts, its plain step at rho = 0, and its scale range."""
 
     def test_few_products_on_a_two_trial_median(self):
-        # the plain shifted step took 37 block products here; the filter takes 29
+        # the plain shifted step takes 38 block products here (37 with every column); the filter
+        # takes 29
         a = proto_median(600, seed=88, n_trials=2).entries
         found, products = leading_pairs_and_products(a)
         assert found is not None and products <= 33

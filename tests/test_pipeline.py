@@ -1,4 +1,5 @@
 import tracemalloc
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from curcluster.pipeline import (
 )
 from curcluster.simgen import elementwise_power, median_aggregate, normalize_columns
 from curcluster.linalg import numerical_rank, pinv
-from curcluster.synth import random_union_model, sample_instance
+from curcluster.synth import CASE_DIMS, random_union_model, run_sweep, sample_instance
+from test_acceptance import _sweep_config
 
 
 def two_line_data():
@@ -71,10 +73,21 @@ class TestProtoConfig:
         cfg = ProtoConfig(m_subspaces=2, target_rank=8)
         assert cfg.rows() == 8
         assert cfg.cols(100) == 100
+        cfg = ProtoConfig(m_subspaces=3, target_rank=12)  # min(n, 24 r) columns
+        assert cfg.cols(1200) == 288
+        assert cfg.cols(150) == 150
 
     def test_explicit_cols(self):
         cfg = ProtoConfig(m_subspaces=2, target_rank=4, cols_per_trial=10)
         assert cfg.cols(100) == 10
+        assert ProtoConfig(m_subspaces=3, target_rank=12, cols_per_trial="all").cols(1200) == 1200
+
+    @pytest.mark.parametrize("case, backend", [(1, "pcc"), (1, "spectral"), (2, "spectral")],
+                             ids=["8a", "8b", "8c"])
+    def test_acceptance_sweeps_take_every_column(self, case, backend):
+        # the column default leaves criteria 8a/8b/8c's trials as they were with every column
+        n = len(CASE_DIMS[case]) * signature(run_sweep).parameters["points_per_subspace"].default
+        assert _sweep_config(case, backend).cols(n) == n
 
     def test_rejects_rank_below_subspace_count(self):
         with pytest.raises(ValueError):
@@ -101,6 +114,26 @@ class TestProtoCluster:
         cfg = ProtoConfig(m_subspaces=2, target_rank=6, n_trials=5, seed=seed)
         labels = proto_cluster(inst.data, cfg)
         assert clustering_error(labels, inst.truth) == 0.0
+
+    def test_noise_free_zero_error_with_fewer_columns(self):
+        model = random_union_model(30, [2, 2], seed=4)
+        inst = sample_instance(model, [60, 60], 0.0, seed=5)
+        cfg = ProtoConfig(m_subspaces=2, target_rank=4, n_trials=5, seed=0)
+        assert cfg.cols(120) == 96  # the default, below n
+        assert clustering_error(proto_cluster(inst.data, cfg), inst.truth) == 0.0
+
+    def test_trial_y_has_target_rank_from_more_rows(self, monkeypatch):
+        # at s = 4r rows U's SVD is cut to r, so Y = pinv(U) R projects onto a rank-r row space;
+        # uncut, a noisy U has full rank s
+        w = sample_instance(random_union_model(40, [3, 3], seed=7), [20, 20], 0.05, seed=8).data
+        assert len(cur._sample(w, 24, 40, 6, 0)[2][1]) == 24
+        ranks = []
+        kernel = simgen.threshold_volumetric
+        monkeypatch.setattr(simgen, "threshold_volumetric",
+                            lambda y, m: ranks.append(numerical_rank(y)) or kernel(y, m))
+        proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, rows_per_trial=24,
+                                        n_trials=3))
+        assert ranks == [6, 6, 6]
 
     def test_single_trial_is_identity_aggregation(self):
         inst = union_instance(2)
@@ -406,12 +439,14 @@ class TestTrialWorkspace:
         w = sample_instance(model, [n // 3] * 3, 0.01, seed=81).data
         return w, [cur._sample(w, 12, k, 12, seed) for seed in seeds]
 
-    # proto_n1200's trial is 1200 x 1200; cols_per_trial = 100 gives a 100 x 300 Y
-    @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (100, 300)])
+    # proto_n1200's trial takes 288 of its 1200 columns by default, 1200 with cols_per_trial="all"
+    @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (288, 1200),
+                                      (100, 300)])
     def test_gram_in_shared_buffer_matches_fresh(self, k, n):
         w, draws = self.draws(k, n, (0, 1))
         addresses = set()
-        for (rows, _, svd), gram in zip(draws, pipeline._proto_grams(w, draws, 3, k), strict=True):
+        grams = pipeline._proto_grams(w, draws, 3, k, 12)
+        for (rows, _, svd), gram in zip(draws, grams, strict=True):
             f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
             fresh = np.empty((n, n), dtype=np.float32)
             np.matmul(f.T, f, out=fresh)
@@ -424,7 +459,7 @@ class TestTrialWorkspace:
     def test_trial_allocates_no_n_by_n_array(self):
         n = 300
         w, draws = self.draws(n, n, range(4))
-        grams = pipeline._proto_grams(w, draws, 3, n)
+        grams = pipeline._proto_grams(w, draws, 3, n, 12)
         next(grams)  # allocates the workspace
         tracemalloc.start()
         try:

@@ -190,10 +190,10 @@ class TestThresholdVolumetric:
         np.testing.assert_array_equal(out, float32_cut_threshold(y, m))
 
     def test_ties_allocate_no_k_by_n_array(self):
-        # a repeated cut value; F is masked one block of rows at a time, F's rows go over rows
-        # of Y already converted and |F| over Y's spent second half, so the temporaries are a
-        # block's mask and one row, none of them k x n
-        for shape in [(300, 300), (1200, 300)]:
+        # a repeated cut value; F is masked one block of rows at a time by an int32 mask made in
+        # |F|'s scratch, F's rows go over rows of Y already converted and |F| over Y's spent
+        # second half, so the temporaries are one row and a few scalars, none of them k x n
+        for shape in [(300, 300), (1200, 300), (288, 1200)]:
             y = np.round(np.random.default_rng(3).standard_normal(shape), 1)
             workspace = y.copy()
             tracemalloc.start()
@@ -204,6 +204,7 @@ class TestThresholdVolumetric:
                 tracemalloc.stop()
             assert peak < y.size, f"{shape}: peak {peak / y.size:.2f} bool k x n arrays"
             assert peak < BLOCK_BYTES, f"{shape}: peak {peak / BLOCK_BYTES:.2f} blocks"
+            assert peak < BLOCK_BYTES / 16, f"{shape}: peak {peak / BLOCK_BYTES:.3f} blocks"
             np.testing.assert_array_equal(out, float32_cut_threshold(y, 3))
 
 
