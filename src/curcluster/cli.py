@@ -72,7 +72,7 @@ def load_csv(path) -> DatasetFile:
                 continue
             cells = line.split(",")
             try:
-                rows.append([float(c) for c in cells])
+                rows.append(list(map(float, cells)))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric cell") from None
             if len(rows[-1]) != len(rows[0]):

@@ -5,7 +5,9 @@ the full selection's shape-interaction pattern), the noisy multi-trial
 median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
 spectral partition.  One function medians the noisy pipelines' Gram
-matrices, which generators yield; the rank sweep's ranks share its draws.
+matrices from a folded stack, which generators fill; past a size that
+arithmetic sets, the median pipeline keeps its trials' factors instead and
+takes the median from them.  The rank sweep's ranks share its draws.
 """
 
 from __future__ import annotations
@@ -127,27 +129,68 @@ def _median_of_grams(grams, n_trials: int, n: int) -> simgen.SimilarityMatrix:
     return simgen.median_aggregate(stack)
 
 
+def _proto_factor(w, draw, m_subspaces: int, rank: int, y: np.ndarray) -> np.ndarray:
+    """proto's trial factor F of one draw of `w`: Y = pinv(U) R written into `y`, thresholded.
+
+    `draw` is `cur._sample`'s (rows, columns, U's SVD) with k columns, and `y` a C-contiguous
+    k x n float64 array.  The SVD is cut to `rank`, U's best rank-`rank` approximation (Eckart
+    and Young 1936), so that s rows beyond the target rank estimate a rank-`rank` row space; at
+    s = rank the cut changes nothing.  `simgen.threshold_volumetric` (looked up at call time)
+    rounds Y in place to F (k x n float32) over `y`'s first 4kn bytes and finds its cut in the
+    next 4kn.
+    """
+    rows, _, (u, s, vt) = draw
+    np.matmul(_pinv_from_svd(u[:, :rank], s[:rank], vt[:rank]), w[rows], out=y)
+    return simgen.threshold_volumetric(y, m_subspaces)
+
+
 def _proto_grams(w, draws, m_subspaces: int, k: int, rank: int):
     """proto's trial Gram matrices, one per draw of `w`, in one workspace allocated once.
 
-    Each draw is `cur._sample`'s (rows, columns, U's SVD) with k columns.  The SVD is cut to
-    `rank`, U's best rank-`rank` approximation (Eckart and Young 1936), so that s rows beyond the
-    target rank estimate a rank-`rank` row space; at s = rank the cut changes nothing.  One
-    buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take
-    Y = pinv(U) R (k x n float64), written once by `np.matmul(..., out=)`.
-    `simgen.threshold_volumetric` (looked up at call time) rounds Y in place to F (k x n float32)
-    over the first 4kn bytes and finds its cut in the next 4kn, and F.T F (n x n float32) goes
-    into the bytes after F.  At proto's default k = min(n, 24 r) the workspace is 4n^2 + 4kn
-    bytes (7.1 MB at n = 1200, r = 12), and 8n^2 at k = n.
+    One buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take Y and
+    then F (`_proto_factor`), and F.T F (n x n float32) goes into the bytes after F.  At proto's
+    default k = min(n, 24 r) the workspace is 4n^2 + 4kn bytes (7.1 MB at n = 1200, r = 12),
+    and 8n^2 at k = n.
     """
     n = w.shape[1]
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
-    for rows, _, (u, s, vt) in draws:
-        np.matmul(_pinv_from_svd(u[:, :rank], s[:rank], vt[:rank]), w[rows], out=y)
-        f = simgen.threshold_volumetric(y, m_subspaces)
+    for draw in draws:
+        f = _proto_factor(w, draw, m_subspaces, rank, y)
         yield np.matmul(f.T, f, out=gram)
+
+
+def _proto_factors(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
+    """proto's n_trials trial factors F (k x n float32 each), as one (n_trials, k, n) view.
+
+    One buffer holds n_trials + 1 slots of kn float32 entries, kn rounded up to even so that
+    every slot starts on a float64 boundary.  Trial i writes Y (k x n float64) over slots i and
+    i + 1, and the threshold leaves F in slot i and spends the rest, which the next trial's Y
+    overwrites: the factors need no Y workspace beside them.
+    """
+    n = w.shape[1]
+    stride = k * n + k * n % 2
+    slots = np.empty((n_trials + 1) * stride // 2).view(np.float32)
+    for i, draw in enumerate(draws):
+        y = slots[i * stride : i * stride + 2 * k * n].view(np.float64).reshape(k, n)
+        _proto_factor(w, draw, m_subspaces, rank, y)
+    return slots.reshape(n_trials + 1, stride)[:n_trials, : k * n].reshape(n_trials, k, n)
+
+
+def _stores_factors(n_trials: int, k: int, n: int) -> bool:
+    """Whether proto's median comes from its trials' stored factors rather than a folded stack.
+
+    Each path's working set in bytes, beside the float64 n x n median both build: the factors'
+    n_trials + 1 slots and two (n_trials, b, b) float32 tiles of `simgen.median_aggregate`,
+    against the folded stack and `_proto_grams`' workspace.  The factors win at proto's default
+    k = min(n, 24 r) for large n (38.8 against 79.2 MB at n = 1200, 25 trials), and lose at
+    k = n and for small n, where the tiles are as large as the matrices.
+    """
+    b = simgen._tile_width(n)
+    factors = (n_trials + 1) * k * n * 4 + 2 * n_trials * b * b * 4
+    folded = n_trials * n * (n + 1) // 2 * 4 + max(8 * k * n, 4 * k * n + 4 * n * n)
+    return factors <= folded
 
 
 def _rcur_factors(w, r_max: int, seeds) -> list:
@@ -180,7 +223,13 @@ def _rcur_grams(factors, squares, previous: int, r: int, n: int):
 
 
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
-    """Median of n_trials thresholded CUR similarity matrices of `w`, its diagonal pinned to 1."""
+    """Median of n_trials thresholded CUR similarity matrices of `w`, its diagonal pinned to 1.
+
+    The trials' F are kept (`_proto_factors`) and `simgen.median_aggregate` takes the median of
+    their F.T F one tile at a time, or each F.T F is folded into a stack (`_proto_grams`,
+    `_median_of_grams`): whichever working set is smaller (`_stores_factors`).  Both give the
+    same bits.
+    """
     w = as_matrix(w)
     if config.target_rank > min(w.shape):
         raise ValueError("target_rank exceeds min(m, n)")
@@ -189,8 +238,12 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     required = _required_rank(config.target_rank, rows, cols, numerical_rank(w))
     draws = (_sample(w, rows, cols, required, seed)
              for seed in range(config.seed, config.seed + config.n_trials))
-    grams = _proto_grams(w, draws, config.m_subspaces, cols, required)
-    sim = _median_of_grams(grams, config.n_trials, n)
+    if _stores_factors(config.n_trials, cols, n):
+        sim = simgen.median_aggregate(
+            _proto_factors(w, draws, config.m_subspaces, cols, required, config.n_trials))
+    else:
+        grams = _proto_grams(w, draws, config.m_subspaces, cols, required)
+        sim = _median_of_grams(grams, config.n_trials, n)
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 

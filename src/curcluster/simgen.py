@@ -212,21 +212,78 @@ class FoldedLayout:
         return mat
 
 
-def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
-    """Entrywise median of k symmetric n x n matrices, then absolute value.
+#: widest tile of Gram columns that `median_aggregate` takes from stored factors at once; the
+#: tiles are as even as n allows, ceil(n / ceil(n / _TILE)) columns (120 at n = 1200)
+_TILE = 128
 
-    `stack` is the packed k x n(n+1)/2 float array whose row i holds trial
-    i's upper triangle, folded by `FoldedLayout(n).fold`; the trial loop's
-    is float32.  It is partitioned in place, scrambling it, and its row
-    k // 2 ends up holding the median, in the stack's dtype.  The median,
-    taken once per upper-triangle entry, is unfolded into a symmetric
-    float64 matrix by block copies: no index and no loop over rows.  An
-    even count averages the middle two.  One partition at k // 2 finds it:
-    for an even count the lower middle is then the largest entry of the
-    rows below k // 2.  The stack must be finite, as the trial loop's Gram
-    products are: unlike `np.median`, the partition does not turn a NaN
-    trial into a NaN median.
+
+def _tile_width(n: int) -> int:
+    """Columns per tile of `median_aggregate`'s factor path at n columns."""
+    return -(-n // -(-n // _TILE))
+
+
+def _factor_median(factors: np.ndarray) -> np.ndarray:
+    """The float64 median of k trials' F.T F from their factors F (k x c x n), one tile at a time."""
+    k, _, n = factors.shape
+    b = _tile_width(n)
+    grams = np.empty((k, b, b), dtype=factors.dtype)  # one tile of every trial's F.T F
+    trials_last = np.empty((b, b, k), dtype=factors.dtype)
+    lower = np.empty((b, b), dtype=factors.dtype)
+    mat = np.empty((n, n))
+    for i in range(0, n, b):
+        left = factors[:, :, i : i + b].transpose(0, 2, 1)
+        for j in range(i, n, b):
+            right = factors[:, :, j : j + b]
+            tile = grams[:, : left.shape[1], : right.shape[2]]
+            np.matmul(left, right, out=tile)  # syrk on the diagonal, as the full F.T @ F
+            part = trials_last[: tile.shape[1], : tile.shape[2]]
+            np.copyto(part, tile.transpose(1, 2, 0))
+            part.partition(k // 2, axis=-1)
+            mid = part[..., k // 2]
+            if k % 2 == 0:  # the lower middle: the largest entry that the partition put below
+                mid = lower[: tile.shape[1], : tile.shape[2]]
+                np.copyto(mid, part[..., 0])
+                for q in range(1, k // 2):
+                    np.maximum(mid, part[..., q], out=mid)
+                mid += part[..., k // 2]
+                mid /= 2
+            block = mat[i : i + b, j : j + b]
+            np.abs(mid, out=block)
+            if j > i:
+                mat[j : j + b, i : i + b] = block.T
+    return mat
+
+
+def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
+    """Entrywise median of k symmetric n x n Gram matrices, then absolute value.
+
+    The matrices come in one of two forms, told apart by `stack.ndim`:
+    - 2-D, folded: the packed k x n(n+1)/2 float array whose row i holds
+      trial i's upper triangle, folded by `FoldedLayout(n).fold`; the trial
+      loop's is float32.  It is partitioned in place, scrambling it, and its
+      row k // 2 ends up holding the median, in the stack's dtype, which is
+      unfolded into the result by block copies: no index and no loop over
+      rows.
+    - 3-D, factors: k trials' F (k x c x n), whose Gram matrices F.T F are
+      the matrices, in the factors' dtype.  The upper triangle is taken one
+      tile of ceil(n / ceil(n / 128)) columns at a time (blocked as in Goto
+      and van de Geijn 2008): one batched `np.matmul` gives every trial's
+      tile, which is copied trial-last so that one partition along the last
+      axis finds each entry's median.  The tile and its mirror go into the
+      result.  The tile buffers are reused, so the k Gram matrices are never
+      held, and the factors are not changed.
+    Either way the median is taken once per upper-triangle entry, in the
+    input's dtype, and the result is a symmetric float64 matrix.  An even
+    count averages the middle two.  One partition at k // 2 finds it: for an
+    even count the lower middle is then the largest entry below k // 2.  The
+    input must be finite, as the trial loop's is: unlike `np.median`, the
+    partition does not turn a NaN trial into a NaN median.  The two forms
+    give the same bits wherever a tile of `np.matmul`'s F.T F equals that
+    tile of the whole product, as it does bit for bit under the OpenBLAS
+    builds the tests run on, at one thread or two.
     """
+    if stack.ndim == 3:
+        return SimilarityMatrix(entries=_factor_median(stack))
     k = stack.shape[0]
     stack.partition(k // 2, axis=0)
     mid = stack[k // 2]  # a view: no row of its own at the validation's memory peak

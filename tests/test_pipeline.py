@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +497,98 @@ class TestTrialWorkspace:
         w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
         proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=7))
         assert len(calls) == 7
+
+
+class TestStoredFactors:
+    """Past a size that arithmetic sets, proto keeps its trials' F and takes the median from them."""
+
+    @staticmethod
+    def instance(points):
+        model = random_union_model(60, [4, 4, 4], seed=60)
+        return sample_instance(model, [points] * 3, 0.05, seed=61).data
+
+    @pytest.mark.parametrize("n_trials, k, n, stores", [
+        (25, 288, 1200, True),  # proto_n1200's ops
+        (2, 288, 1200, True),  # and its set-up's warm-up median
+        (25, 1200, 1200, False),  # every column
+        (25, 288, 600, False),  # the n = 600 memory test of TestTrialWorkspace
+        (25, 150, 150, False),  # the acceptance sweeps and sweep_case2
+    ])
+    def test_rule(self, n_trials, k, n, stores):
+        assert pipeline._stores_factors(n_trials, k, n) is stores
+
+    @pytest.mark.parametrize("n_trials", [2, 3])
+    def test_same_median_as_the_folded_stack(self, monkeypatch, n_trials):
+        w = self.instance(400)
+        cfg = ProtoConfig(3, 12, n_trials=n_trials, seed=3)
+        assert pipeline._stores_factors(n_trials, cfg.cols(1200), 1200)
+        factored = proto_similarity(w, cfg).entries
+        monkeypatch.setattr(pipeline, "_stores_factors", lambda *args: False)
+        folded = proto_similarity(w, cfg).entries
+        np.testing.assert_array_equal(factored.view(np.uint64), folded.view(np.uint64))
+
+    def test_factors_in_their_slots_match_fresh(self):
+        w = self.instance(100)
+        k, n = 61, w.shape[1]  # kn odd: every slot is padded to an even count
+        draws = [cur._sample(w, 12, k, 12, seed) for seed in range(3)]
+        factors = pipeline._proto_factors(w, draws, 3, k, 12, 3)
+        assert factors.shape == (3, k, n) and factors.dtype == np.float32
+        for (rows, _, svd), f in zip(draws, factors, strict=True):
+            fresh = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
+            np.testing.assert_array_equal(f.view(np.uint32), fresh.view(np.uint32))
+
+    def test_n1200_peak_below_the_folded_stack(self):
+        # the factors (36 MB), two Gram tiles (2.9 MB) and the median with its validation; the
+        # folded stack alone is 72 MB
+        w = self.instance(400)
+        stack_bytes = 25 * 1200 * 1201 // 2 * 4
+        tracemalloc.start()
+        try:
+            proto_similarity(w, ProtoConfig(3, 12, n_trials=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes, f"peak {peak / stack_bytes:.2f} folded stacks"
+
+
+#: one factor-path proto (60 columns), one folded-path proto (every column) and one rcur; prints
+#: a hash of every median's bytes and of the labels
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from curcluster import pipeline, simgen
+from curcluster.synth import random_union_model, sample_instance
+
+digest = hashlib.sha256()
+median_aggregate = simgen.median_aggregate
+def recording(stack):
+    sim = median_aggregate(stack)
+    digest.update(sim.entries.tobytes())
+    return sim
+simgen.median_aggregate = recording
+w = sample_instance(random_union_model(60, [4, 4, 4], seed=60), [100] * 3, 0.05, seed=61).data
+assert pipeline._stores_factors(5, 60, 300) and not pipeline._stores_factors(5, 300, 300)
+for cols in (60, "all"):
+    config = pipeline.ProtoConfig(3, 12, n_trials=5, cols_per_trial=cols)
+    digest.update(pipeline.proto_cluster(w, config).labels.tobytes())
+result = pipeline.rcur_cluster(w[:, ::2], 3, pipeline.RcurConfig(2, 6, 2.0, n_trials=10))
+digest.update(result.labels.labels.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_same_bytes_under_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestPinOnce:

@@ -21,6 +21,7 @@ from curcluster.simgen import (
     sim_baseline,
     similarity_noise_free,
     threshold_volumetric,
+    _tile_width,
 )
 
 # two independent 1-dim subspaces, two generic points each
@@ -524,6 +525,46 @@ class TestMedianMatchesNumpy:
                                       np.delete(column_sorted, k // 2, axis=0))
         assert np.all(stack[: k // 2] <= column_sorted[k // 2])
         assert np.all(stack[k // 2 + 1:] >= column_sorted[k // 2])
+
+
+@st.composite
+def trial_factors(draw):
+    """t float32 factors F (k x n): n past one tile and not a multiple of the tile width, some
+    columns zero with either sign, and half of them rounded to integers (ties, and -0.0 in the
+    Gram products wherever a zero column meets a negative one)."""
+    t = draw(st.sampled_from([1, 2, 3, 24, 25]))
+    n = draw(st.integers(129, 400).filter(lambda n: n % _tile_width(n)))
+    k = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    factors = rng.standard_normal((t, k, n)) * 2.0
+    if draw(st.booleans()):
+        factors = np.round(factors)
+    zero = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    factors[:, :, zero] = rng.choice([0.0, -0.0], size=(t, k, len(zero)))
+    return factors.astype(np.float32)
+
+
+class TestFactorMedian:
+    """The median from stored factors, one tile of Gram columns at a time, is the folded stack's."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(factors=trial_factors())
+    def test_bit_for_bit_with_the_folded_stack(self, factors):
+        t, _, n = factors.shape
+        stack = np.empty((t, n * (n + 1) // 2), dtype=np.float32)
+        gram = np.empty((n, n), dtype=np.float32)
+        for f, row in zip(factors, stack):
+            FoldedLayout(n).fold(np.matmul(f.T, f, out=gram), row)
+        expected = median_aggregate(stack).entries
+        before = factors.copy()
+        got = median_aggregate(factors).entries
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(factors.view(np.uint32), before.view(np.uint32))
+
+    @pytest.mark.parametrize("n, width", [(1, 1), (128, 128), (129, 65), (1200, 120), (1201, 121)])
+    def test_tile_width(self, n, width):
+        assert _tile_width(n) == width
 
 
 class TestEnforceDiagonal:
