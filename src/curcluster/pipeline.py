@@ -4,10 +4,11 @@ Three paths are provided: the exact noise-free construction (components of
 the full selection's shape-interaction pattern), the noisy multi-trial
 median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
-spectral partition.  One function medians the noisy pipelines' Gram
-matrices from a folded stack, which generators fill; past a size that
-arithmetic sets, the median pipeline keeps its trials' factors instead and
-takes the median from them.  The rank sweep's ranks share its draws.
+spectral partition.  `simgen.median_aggregate` medians the noisy
+pipelines' Gram matrices from their trials' stored factors, one tile at a
+time; below a size that arithmetic sets, the median pipeline folds each
+trial's Gram matrix into a packed stack instead.  The rank sweep's ranks
+share its draws.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ProtoConfig:
     target_rank: int
     n_trials: int = 25
     rows_per_trial: int | None = None  # defaults to target_rank
-    cols_per_trial: int | str | None = None  # defaults to min(n, 24 * target_rank); "all" is n
+    cols_per_trial: int | None = None  # defaults to min(n, 24 * target_rank)
     backend: str = "pcc"
     seed: int = 0
 
@@ -56,9 +57,7 @@ class ProtoConfig:
         return self.target_rank if self.rows_per_trial is None else self.rows_per_trial
 
     def cols(self, n: int) -> int:
-        if self.cols_per_trial is None:
-            return min(n, 24 * self.target_rank)
-        return n if self.cols_per_trial == "all" else int(self.cols_per_trial)
+        return min(n, 24 * self.target_rank) if self.cols_per_trial is None else self.cols_per_trial
 
 
 @dataclass(frozen=True)
@@ -108,27 +107,6 @@ def cluster_noise_free(w) -> LabelVector:
     return _cluster.connected_components(simgen.sim_baseline(w, min(np.shape(w))))
 
 
-def _median_of_grams(grams, n_trials: int, n: int) -> simgen.SimilarityMatrix:
-    """Median of `n_trials` symmetric float32 n x n Gram matrices, upper triangles in one stack.
-
-    `grams` yields each trial's F.T F, written with `out=` (numpy's syrk path, so exactly
-    symmetric), into a workspace that the generator may reuse.  The stack and the Gram
-    products are float32, the median float64.  A float32 inner product of length n errs by at
-    most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5 relative at n = 1200 in the worst
-    case, far below the noise level at which the trials' median varies.  Each Gram matrix's upper
-    triangle is folded into its row of the stack (`simgen.FoldedLayout`: three block copies, no
-    index).  The generator runs to its end and the last Gram matrix, a view of its workspace, is
-    dropped before the median, which partitions the stack in place.
-    """
-    # the stack first, so that it can take the heap hole the previous call's stack left
-    stack = np.empty((n_trials, n * (n + 1) // 2), dtype=np.float32)
-    layout = simgen.FoldedLayout(n)
-    for row, gram in zip(stack, grams, strict=True):
-        layout.fold(gram, row)
-    del layout, gram
-    return simgen.median_aggregate(stack)
-
-
 def _proto_factor(w, draw, m_subspaces: int, rank: int, y: np.ndarray) -> np.ndarray:
     """proto's trial factor F of one draw of `w`: Y = pinv(U) R written into `y`, thresholded.
 
@@ -144,21 +122,27 @@ def _proto_factor(w, draw, m_subspaces: int, rank: int, y: np.ndarray) -> np.nda
     return simgen.threshold_volumetric(y, m_subspaces)
 
 
-def _proto_grams(w, draws, m_subspaces: int, k: int, rank: int):
-    """proto's trial Gram matrices, one per draw of `w`, in one workspace allocated once.
+def _proto_stack(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
+    """proto's n_trials trial Gram matrices F.T F, upper triangles folded into one float32 stack.
 
-    One buffer of max(8kn, 4kn + 4n^2) bytes holds everything.  Its first 8kn bytes take Y and
-    then F (`_proto_factor`), and F.T F (n x n float32) goes into the bytes after F.  At proto's
-    default k = min(n, 24 r) the workspace is 4n^2 + 4kn bytes (7.1 MB at n = 1200, r = 12),
-    and 8n^2 at k = n.
+    Row i holds trial i's F.T F, folded by `simgen.FoldedLayout` (three block copies, no index).
+    One workspace of max(8kn, 4kn + 4n^2) bytes serves every trial: its first 8kn bytes take Y
+    and then F (`_proto_factor`), and F.T F (n x n float32, numpy's syrk path, so exactly
+    symmetric) goes into the bytes after F.  It is freed on return, before the median's peak.
+    A float32 product errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5
+    relative at n = 1200, far below the noise level at which the trials' median varies.
     """
     n = w.shape[1]
+    # the stack first, so that it can take the heap hole the previous call's stack left
+    stack = np.empty((n_trials, n * (n + 1) // 2), dtype=np.float32)
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
-    for draw in draws:
+    layout = simgen.FoldedLayout(n)
+    for row, draw in zip(stack, draws, strict=True):
         f = _proto_factor(w, draw, m_subspaces, rank, y)
-        yield np.matmul(f.T, f, out=gram)
+        layout.fold(np.matmul(f.T, f, out=gram), row)
+    return stack
 
 
 def _proto_factors(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
@@ -182,53 +166,42 @@ def _stores_factors(n_trials: int, k: int, n: int) -> bool:
     """Whether proto's median comes from its trials' stored factors rather than a folded stack.
 
     Each path's working set in bytes, beside the float64 n x n median both build: the factors'
-    n_trials + 1 slots and two (n_trials, b, b) float32 tiles of `simgen.median_aggregate`,
-    against the folded stack and `_proto_grams`' workspace.  The factors win at proto's default
-    k = min(n, 24 r) for large n (38.8 against 79.2 MB at n = 1200, 25 trials), and lose at
-    k = n and for small n, where the tiles are as large as the matrices.
+    n_trials + 1 slots and one (n_trials, b, b) float32 tile buffer of `simgen.median_aggregate`,
+    against the folded stack and `_proto_stack`'s workspace.  The factors win at proto's default
+    k = min(n, 24 r) for large n (37.4 against 79.2 MB at n = 1200, 25 trials; 19.4 against
+    20.2 MB at n = 600), and lose at k = n and for small n, where the tiles are as large as the
+    matrices.
     """
     b = simgen._tile_width(n)
-    factors = (n_trials + 1) * k * n * 4 + 2 * n_trials * b * b * 4
+    factors = (n_trials + 1) * k * n * 4 + n_trials * b * b * 4
     folded = n_trials * n * (n + 1) // 2 * 4 + max(8 * k * n, 4 * k * n + 4 * n * n)
     return factors <= folded
 
 
-def _rcur_factors(w, r_max: int, seeds) -> list:
-    """V.T of one draw of r_max rows R = U S V.T per seed, cut to rank(R); R's zero columns stay 0.
+def _rcur_factors(w, r_max: int, seeds) -> np.ndarray:
+    """V.T of one draw of r_max rows R = U S V.T per seed, one (len(seeds), r_max, n) float64 array.
 
     With every column, U = R and Y = pinv(R) R = V V.T: column j has V.T's column norm, and V.T's
-    first r rows give rank r's Y for every r (Eckart and Young 1936).  Y is exactly 0 where R is,
-    but the SVD leaves up to 8e-14 there, which `simgen.normalize_columns` would scale up.
+    first r rows give rank r's Y for every r (Eckart and Young 1936).  V.T is cut to rank(R), so
+    rows past it are 0, which add nothing to a Gram product or a column norm.  Y is exactly 0
+    where R is, but the SVD leaves up to 8e-14 there, which `simgen.normalize_columns` would
+    scale up: R's zero columns stay 0.
     """
     n = w.shape[1]
     required = _required_rank(r_max, r_max, n, numerical_rank(w))
-    draws = [_sample(w, r_max, n, required, seed) for seed in seeds]
-    return [np.where(w[rows].any(axis=0), svd[2], 0.0) for rows, _, svd in draws]
-
-
-def _rcur_grams(factors, squares, previous: int, r: int, n: int):
-    """rcur's rank-r trial Gram matrices, of each factor's first r rows normalized, in one buffer.
-
-    Row i of `squares` (n_trials x n) holds factor i's squared column norms over its first
-    `previous` rows; rows previous..r-1 are added to it one at a time, in the order in which
-    `np.linalg.norm(vt[:r], axis=0)` sums them, so the norms are bit for bit that norm's.  A
-    factor cut to fewer than r rows adds only the rows it has.
-    """
-    gram = np.empty((n, n), dtype=np.float32)
-    for vt, sq in zip(factors, squares, strict=True):
-        for row in vt[previous:r]:
-            sq += row * row
-        f = simgen.normalize_columns(vt[:r], np.sqrt(sq)).astype(np.float32)  # the product is n r n
-        yield np.matmul(f.T, f, out=gram)
+    factors = np.zeros((len(seeds), r_max, n))
+    for factor, seed in zip(factors, seeds):
+        rows, _, (_, _, vt) = _sample(w, r_max, n, required, seed)
+        factor[: len(vt)] = np.where(w[rows].any(axis=0), vt, 0.0)
+    return factors
 
 
 def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     """Median of n_trials thresholded CUR similarity matrices of `w`, its diagonal pinned to 1.
 
     The trials' F are kept (`_proto_factors`) and `simgen.median_aggregate` takes the median of
-    their F.T F one tile at a time, or each F.T F is folded into a stack (`_proto_grams`,
-    `_median_of_grams`): whichever working set is smaller (`_stores_factors`).  Both give the
-    same bits.
+    their F.T F one tile at a time, or each F.T F is folded into a stack (`_proto_stack`) that it
+    medians: whichever working set is smaller (`_stores_factors`).  Both give the same bits.
     """
     w = as_matrix(w)
     if config.target_rank > min(w.shape):
@@ -238,12 +211,9 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     required = _required_rank(config.target_rank, rows, cols, numerical_rank(w))
     draws = (_sample(w, rows, cols, required, seed)
              for seed in range(config.seed, config.seed + config.n_trials))
-    if _stores_factors(config.n_trials, cols, n):
-        sim = simgen.median_aggregate(
-            _proto_factors(w, draws, config.m_subspaces, cols, required, config.n_trials))
-    else:
-        grams = _proto_grams(w, draws, config.m_subspaces, cols, required)
-        sim = _median_of_grams(grams, config.n_trials, n)
+    trials = _proto_factors if _stores_factors(config.n_trials, cols, n) else _proto_stack
+    sim = simgen.median_aggregate(
+        trials(w, draws, config.m_subspaces, cols, required, config.n_trials))
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 
@@ -265,9 +235,10 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
 
     Each of n_trials CUR draws takes r_max rows, every column and one SVD (`_rcur_factors`).  For
     each rank r in [r_min, r_max], the median of the trials' Gram matrices of V.T's first r rows,
-    column-normalized, is raised elementwise to alpha in place and clustered spectrally with
-    config.seed, so rank r's result depends on r_max, not on r_min.  Ncut is scored on the
-    powered matrix that was clustered; ties go to the smaller rank.
+    column-normalized, taken from those factors by `simgen.median_aggregate` one tile at a time,
+    is raised elementwise to alpha in place and clustered spectrally with config.seed, so rank
+    r's result depends on r_max, not on r_min.  Ncut is scored on the powered matrix that was
+    clustered; ties go to the smaller rank.
     """
     w = as_matrix(w)
     m, n = w.shape
@@ -276,10 +247,14 @@ def rcur_cluster(w, m_subspaces: int, config: RcurConfig) -> RcurResult:
     factors = _rcur_factors(w, config.r_max, range(config.seed, config.seed + config.n_trials))
     best = None
     ncut_per_rank = []
-    squares, previous = np.zeros((config.n_trials, n)), 0  # squared column norms, rank to rank
-    for r in range(config.r_min, config.r_max + 1):
-        sim = _median_of_grams(_rcur_grams(factors, squares, previous, r, n), config.n_trials, n)
-        previous = r
+    squares = np.zeros((config.n_trials, n))  # squared column norms, rank to rank
+    for r in range(1, config.r_max + 1):
+        # row by row, in the order np.linalg.norm(vt[:r], axis=0) sums them: its bits
+        squares += factors[:, r - 1] * factors[:, r - 1]
+        if r < config.r_min:
+            continue
+        f = simgen.normalize_columns(factors[:, :r], np.sqrt(squares)[:, None, :])
+        sim = simgen.median_aggregate(f.astype(np.float32))  # the products are n r n each
         simgen.elementwise_power(sim, config.alpha)  # in place; still symmetric and nonnegative
         labels = _cluster.spectral_cluster(sim, m_subspaces, config.seed)
         ncut = _cluster.ncut_value(sim, labels)

@@ -222,13 +222,26 @@ def _tile_width(n: int) -> int:
     return -(-n // -(-n // _TILE))
 
 
+def _middle(stack: np.ndarray) -> np.ndarray:
+    """|median| along axis 0 of `stack`'s t trials, a view of `stack`, which it partitions in place.
+
+    One partition at t // 2 finds the median: for an even t the lower middle is then the largest
+    entry below t // 2, and the two middles are averaged.
+    """
+    t = stack.shape[0]
+    stack.partition(t // 2, axis=0)
+    mid = stack[t // 2]  # a view: no array of its own at the caller's memory peak
+    if t % 2 == 0:
+        mid += stack[: t // 2].max(axis=0)
+        mid /= 2
+    return np.abs(mid, out=mid)
+
+
 def _factor_median(factors: np.ndarray) -> np.ndarray:
     """The float64 median of k trials' F.T F from their factors F (k x c x n), one tile at a time."""
     k, _, n = factors.shape
     b = _tile_width(n)
     grams = np.empty((k, b, b), dtype=factors.dtype)  # one tile of every trial's F.T F
-    trials_last = np.empty((b, b, k), dtype=factors.dtype)
-    lower = np.empty((b, b), dtype=factors.dtype)
     mat = np.empty((n, n))
     for i in range(0, n, b):
         left = factors[:, :, i : i + b].transpose(0, 2, 1)
@@ -236,21 +249,9 @@ def _factor_median(factors: np.ndarray) -> np.ndarray:
             right = factors[:, :, j : j + b]
             tile = grams[:, : left.shape[1], : right.shape[2]]
             np.matmul(left, right, out=tile)  # syrk on the diagonal, as the full F.T @ F
-            part = trials_last[: tile.shape[1], : tile.shape[2]]
-            np.copyto(part, tile.transpose(1, 2, 0))
-            part.partition(k // 2, axis=-1)
-            mid = part[..., k // 2]
-            if k % 2 == 0:  # the lower middle: the largest entry that the partition put below
-                mid = lower[: tile.shape[1], : tile.shape[2]]
-                np.copyto(mid, part[..., 0])
-                for q in range(1, k // 2):
-                    np.maximum(mid, part[..., q], out=mid)
-                mid += part[..., k // 2]
-                mid /= 2
-            block = mat[i : i + b, j : j + b]
-            np.abs(mid, out=block)
+            mat[i : i + b, j : j + b] = _middle(tile)
             if j > i:
-                mat[j : j + b, i : i + b] = block.T
+                mat[j : j + b, i : i + b] = mat[i : i + b, j : j + b].T
     return mat
 
 
@@ -259,24 +260,22 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
 
     The matrices come in one of two forms, told apart by `stack.ndim`:
     - 2-D, folded: the packed k x n(n+1)/2 float array whose row i holds
-      trial i's upper triangle, folded by `FoldedLayout(n).fold`; the trial
-      loop's is float32.  It is partitioned in place, scrambling it, and its
-      row k // 2 ends up holding the median, in the stack's dtype, which is
+      trial i's upper triangle, folded by `FoldedLayout(n).fold`; `proto`'s
+      is float32.  It is partitioned in place, scrambling it, and its row
+      k // 2 ends up holding the median, in the stack's dtype, which is
       unfolded into the result by block copies: no index and no loop over
       rows.
     - 3-D, factors: k trials' F (k x c x n), whose Gram matrices F.T F are
       the matrices, in the factors' dtype.  The upper triangle is taken one
       tile of ceil(n / ceil(n / 128)) columns at a time (blocked as in Goto
       and van de Geijn 2008): one batched `np.matmul` gives every trial's
-      tile, which is copied trial-last so that one partition along the last
-      axis finds each entry's median.  The tile and its mirror go into the
-      result.  The tile buffers are reused, so the k Gram matrices are never
-      held, and the factors are not changed.
-    Either way the median is taken once per upper-triangle entry, in the
-    input's dtype, and the result is a symmetric float64 matrix.  An even
-    count averages the middle two.  One partition at k // 2 finds it: for an
-    even count the lower middle is then the largest entry below k // 2.  The
-    input must be finite, as the trial loop's is: unlike `np.median`, the
+      tile into a reused (k, b, b) buffer, which is partitioned along its
+      trial axis.  The tile and its mirror go into the result, so the k Gram
+      matrices are never held, and the factors are not changed.
+    Either way `_middle` takes the median once per upper-triangle entry,
+    along the trial axis, in the input's dtype, and the result is a
+    symmetric float64 matrix.  An even count averages the middle two.  The
+    input must be finite, as the trial loops' is: unlike `np.median`, the
     partition does not turn a NaN trial into a NaN median.  The two forms
     give the same bits wherever a tile of `np.matmul`'s F.T F equals that
     tile of the whole product, as it does bit for bit under the OpenBLAS
@@ -284,15 +283,8 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
     """
     if stack.ndim == 3:
         return SimilarityMatrix(entries=_factor_median(stack))
-    k = stack.shape[0]
-    stack.partition(k // 2, axis=0)
-    mid = stack[k // 2]  # a view: no row of its own at the validation's memory peak
-    if k % 2 == 0:
-        mid += stack[: k // 2].max(axis=0)
-        mid /= 2
-    np.abs(mid, out=mid)
     n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
-    return SimilarityMatrix(entries=FoldedLayout(n).unfold(mid))
+    return SimilarityMatrix(entries=FoldedLayout(n).unfold(_middle(stack)))
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:
@@ -305,7 +297,8 @@ def normalize_columns(y: np.ndarray, norms: np.ndarray | None = None) -> np.ndar
     """Scale each column to unit Euclidean norm; zero columns stay zero.
 
     `norms`, where the caller has them, are y's column norms, to be used in place of
-    `np.linalg.norm(y, axis=0)`.
+    `np.linalg.norm(y, axis=0)`; they broadcast against y, so a stack of t factors (t x r x n)
+    takes its t x 1 x n norms at once.
     """
     if norms is None:
         norms = np.linalg.norm(y, axis=0)

@@ -84,7 +84,7 @@ class TestProtoConfig:
     def test_explicit_cols(self):
         cfg = ProtoConfig(m_subspaces=2, target_rank=4, cols_per_trial=10)
         assert cfg.cols(100) == 10
-        assert ProtoConfig(m_subspaces=3, target_rank=12, cols_per_trial="all").cols(1200) == 1200
+        assert ProtoConfig(m_subspaces=3, target_rank=12, cols_per_trial=1200).cols(1200) == 1200
 
     @pytest.mark.parametrize("case, backend", [(1, "pcc"), (1, "spectral"), (2, "spectral")],
                              ids=["8a", "8b", "8c"])
@@ -443,40 +443,52 @@ class TestTrialWorkspace:
         w = sample_instance(model, [n // 3] * 3, 0.01, seed=81).data
         return w, [cur._sample(w, 12, k, 12, seed) for seed in seeds]
 
-    # proto_n1200's trial takes 288 of its 1200 columns by default, 1200 with cols_per_trial="all"
+    # proto_n1200's trial takes 288 of its 1200 columns by default, 1200 with cols_per_trial=1200
     @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (288, 1200),
                                       (100, 300)])
-    def test_gram_in_shared_buffer_matches_fresh(self, k, n):
+    def test_gram_in_shared_buffer_matches_fresh(self, monkeypatch, k, n):
         w, draws = self.draws(k, n, (0, 1))
-        addresses = set()
-        grams = pipeline._proto_grams(w, draws, 3, k, 12)
-        for (rows, _, svd), gram in zip(draws, grams, strict=True):
-            f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
-            fresh = np.empty((n, n), dtype=np.float32)
-            np.matmul(f.T, f, out=fresh)
-            assert gram.dtype == np.float32
-            np.testing.assert_array_equal(gram.view(np.uint32), fresh.view(np.uint32))
-            assert np.array_equal(gram, gram.T)
-            addresses.add(gram.__array_interface__["data"][0])
-        assert len(addresses) == 1  # the second trial runs in the first one's workspace
+        addresses = []
+        fold = simgen.FoldedLayout.fold
 
-    def test_trial_allocates_no_n_by_n_array(self):
+        def recording(layout, gram, row):
+            assert gram.dtype == np.float32 and np.array_equal(gram, gram.T)
+            addresses.append(gram.__array_interface__["data"][0])
+            fold(layout, gram, row)
+
+        monkeypatch.setattr(simgen.FoldedLayout, "fold", recording)
+        stack = pipeline._proto_stack(w, draws, 3, k, 12, 2)
+        monkeypatch.undo()
+        for (rows, _, svd), row in zip(draws, stack, strict=True):
+            f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
+            fresh, folded = np.empty((n, n), dtype=np.float32), np.empty_like(row)
+            simgen.FoldedLayout(n).fold(np.matmul(f.T, f, out=fresh), folded)
+            np.testing.assert_array_equal(row.view(np.uint32), folded.view(np.uint32))
+        assert len(addresses) == 2 and len(set(addresses)) == 1  # one workspace for both trials
+
+    def test_trial_allocates_no_n_by_n_array(self, monkeypatch):
         n = 300
         w, draws = self.draws(n, n, range(4))
-        grams = pipeline._proto_grams(w, draws, 3, n, 12)
-        next(grams)  # allocates the workspace
-        tracemalloc.start()
+        fold = simgen.FoldedLayout.fold
+
+        def tracing(layout, gram, row):
+            if not tracemalloc.is_tracing():  # from the first fold: the stack and workspace exist
+                tracemalloc.start()
+            fold(layout, gram, row)
+
+        monkeypatch.setattr(simgen.FoldedLayout, "fold", tracing)
         try:
-            for _ in grams:
-                pass
+            pipeline._proto_stack(w, draws, 3, n, 12, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n, f"peak {peak / (4 * n * n):.2f} float32 n x n arrays"
 
     def test_proto_peak_below_stack_and_one_and_three_quarter_matrices(self):
-        # the trial workspace is one 8n^2-byte buffer and the folded stack needs no index, so
-        # the trial loop peaks at 1.15 here; the median and its validation set the peak, 1.5
+        # at the default 288 columns this n takes the factor path (`_stores_factors`): the
+        # factors, as large as the folded stack, one tile buffer and the median with its
+        # validation peak at 1.48 here; the folded stack, whose 8n^2-byte workspace is freed
+        # before the median, peaked at 1.08
         model = random_union_model(60, [4, 4, 4], seed=60)
         w = sample_instance(model, [200, 200, 200], 0.01, seed=61).data
         n = w.shape[1]
@@ -511,7 +523,7 @@ class TestStoredFactors:
         (25, 288, 1200, True),  # proto_n1200's ops
         (2, 288, 1200, True),  # and its set-up's warm-up median
         (25, 1200, 1200, False),  # every column
-        (25, 288, 600, False),  # the n = 600 memory test of TestTrialWorkspace
+        (25, 288, 600, True),  # the n = 600 memory test of TestTrialWorkspace: 19.4 against 20.2 MB
         (25, 150, 150, False),  # the acceptance sweeps and sweep_case2
     ])
     def test_rule(self, n_trials, k, n, stores):
@@ -551,8 +563,8 @@ class TestStoredFactors:
         assert peak < stack_bytes, f"peak {peak / stack_bytes:.2f} folded stacks"
 
 
-#: one factor-path proto (60 columns), one folded-path proto (every column) and one rcur; prints
-#: a hash of every median's bytes and of the labels
+#: one factor-path proto (60 columns), one folded-path proto (every column) and one rcur, whose
+#: medians all come from factors; prints a hash of every median's bytes and of the labels
 THREAD_SCRIPT = """
 import hashlib
 import numpy as np
@@ -568,7 +580,7 @@ def recording(stack):
 simgen.median_aggregate = recording
 w = sample_instance(random_union_model(60, [4, 4, 4], seed=60), [100] * 3, 0.05, seed=61).data
 assert pipeline._stores_factors(5, 60, 300) and not pipeline._stores_factors(5, 300, 300)
-for cols in (60, "all"):
+for cols in (60, 300):
     config = pipeline.ProtoConfig(3, 12, n_trials=5, cols_per_trial=cols)
     digest.update(pipeline.proto_cluster(w, config).labels.tobytes())
 result = pipeline.rcur_cluster(w[:, ::2], 3, pipeline.RcurConfig(2, 6, 2.0, n_trials=10))
@@ -727,12 +739,10 @@ class TestFloat32RankCutoff:
         w = np.random.default_rng(90).standard_normal((20, 2)) @ np.ones((2, n))
         w[1] += np.arange(n)
         factors = [cur._sample(w, 2, n, 2, seed)[2][0].T @ coords.T for seed in range(7)]
-        gram = np.empty((n, n), dtype=np.float32)
-        singles = [f.astype(np.float32) for f in factors]
-        packed = pipeline._median_of_grams((np.matmul(f.T, f, out=gram) for f in singles), 7, n)
+        float32 = simgen.median_aggregate(np.array(factors, dtype=np.float32))
         trials = [f.T @ f for f in factors]
         med = np.abs(np.median(trials, axis=0))
-        return packed, simgen.SimilarityMatrix(entries=0.5 * (med + med.T))
+        return float32, simgen.SimilarityMatrix(entries=0.5 * (med + med.T))
 
     # at n = 30 the float32 median's third |lambda| is 1e-8 relative, above RANK_TOL * n
     # (3e-9) but below n * 2^-23 (3.6e-6); at 300 pcc's subspace iteration declines the
@@ -743,7 +753,7 @@ class TestFloat32RankCutoff:
         rng = np.random.default_rng(n)
         angles = np.deg2rad(np.repeat([10.0, 45.0, 80.0], n // 3) + rng.uniform(-5, 5, n))
         coords = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(1, 1.2, (n, 1))
-        packed, reference = self.medians(n, coords)
+        float32, reference = self.medians(n, coords)
         singulars = np.sort(np.abs(np.linalg.eigvalsh(reference.entries)))[::-1]
         assert singulars[2] <= linalg._rank_cutoff(singulars, (n, n))  # rank 2 < M = 3
         widths = []
@@ -751,15 +761,15 @@ class TestFloat32RankCutoff:
         monkeypatch.setattr(cluster, "kmeans",
                             lambda points, m, seed: widths.append(points.shape[1])
                             or kmeans(points, m, seed))
-        labels = cluster.pcc_cluster(packed, 3, seed=0).labels
+        labels = cluster.pcc_cluster(float32, 3, seed=0).labels
         np.testing.assert_array_equal(labels, cluster.pcc_cluster(reference, 3, seed=0).labels)
         np.testing.assert_array_equal(np.bincount(labels), [n // 3] * 3)
         assert widths == [2, 2]  # the float32 median's round-off coordinate is dropped
 
     def test_zero_median_same_error(self):
-        packed, reference = self.medians(90, np.zeros((90, 2)))
+        float32, reference = self.medians(90, np.zeros((90, 2)))
         errors = []
-        for sim in (packed, reference):
+        for sim in (float32, reference):
             with pytest.raises(ValueError) as info:
                 cluster.pcc_cluster(sim, 3, seed=0)
             errors.append(str(info.value))
@@ -924,25 +934,37 @@ def rcur_draws(draw):
 
 
 class TestRcurFactor:
-    """Rank r's trial Gram, from the shared r_max-row draw, is the Gram of the normalized columns
-    of the draw's rank-r Y = V_r V_r.T, for every r up to r_max, r above rank(W) included."""
+    """Rank r's trial F, from the shared r_max-row draw, has the Gram of the normalized columns of
+    the draw's rank-r Y = V_r V_r.T, for every r up to r_max, r above rank(W) included."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(rcur_draws())
     def test_matches_normalized_coefficient_gram(self, instance):
         w, r_max, seed = instance
         n = w.shape[1]
-        [vt] = pipeline._rcur_factors(w, r_max, [seed])
+        factors = pipeline._rcur_factors(w, r_max, [seed])
+        assert factors.shape == (1, r_max, n) and factors.dtype == np.float64
         required = cur._required_rank(r_max, r_max, n, numerical_rank(w))
         rows = w[cur._sample(w, r_max, n, required, seed)[0]]
-        squares = np.zeros((1, n))  # the running squared column norms, rank to rank
-        for r in range(1, r_max + 1):
+        medians = []  # each rank's float32 F and its median, as rcur_cluster takes them
+        median_aggregate = simgen.median_aggregate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simgen, "median_aggregate",
+                          lambda f: medians.append((f, median_aggregate(f))) or medians[-1][1])
+            patch.setattr(cluster, "spectral_cluster",
+                          lambda sim, m, seed: LabelVector(np.zeros(n, dtype=int), 1))
+            patch.setattr(cluster, "ncut_value", lambda sim, labels: 0.0)
+            rcur_cluster(w, 1, RcurConfig(r_min=1, r_max=r_max, alpha=1.0, n_trials=1, seed=seed))
+        assert [f.shape for f, _ in medians] == [(1, r, n) for r in range(1, r_max + 1)]
+        for r, (f32, sim) in enumerate(medians, start=1):
             svd = linalg.skinny_svd(rows, r)
             # V_r V_r.T as V_r S_r^-1 U_r.T R, which keeps R's zero column exactly 0
             y = normalize_columns((svd.right / svd.singulars) @ (svd.left.T @ rows))
-            f = normalize_columns(vt[:r])
+            f = normalize_columns(factors[0, :r])
             np.testing.assert_allclose(f.T @ f, y.T @ y, rtol=0, atol=1e-12)
-            [gram] = pipeline._rcur_grams([vt], squares, r - 1, r, n)
-            f32 = f.astype(np.float32)
-            np.testing.assert_array_equal(gram, np.matmul(f32.T, f32, out=np.empty_like(gram)))
-            assert not gram[0].any()  # the zero point keeps an exactly zero row, as in Y
+            # the running column norms are np.linalg.norm's, bit for bit
+            np.testing.assert_array_equal(f32[0].view(np.uint32),
+                                          f.astype(np.float32).view(np.uint32))
+            gram = np.abs(np.matmul(f32[0].T, f32[0])).astype(np.float64)  # one trial's median
+            np.testing.assert_array_equal(sim.entries.view(np.uint64), gram.view(np.uint64))
+            assert not sim.entries[0].any()  # the zero point keeps an exactly zero row, as in Y
