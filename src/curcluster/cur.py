@@ -5,16 +5,20 @@ matrix A and forms C = A[:, J], R = A[I, :] and U = A[I, J]; whenever
 rank(U) = rank(A) the identity A = C pinv(U) R holds exactly.  Rows and
 columns are selected uniformly at random; a draw whose U has deficient
 rank is rejected and retried.  Each draw takes one SVD, of U, and returns
-it cut to its rank, not Y; the pipelines compute rank(A) once and pass it in.
+it cut to its rank, not Y.  The rank a draw must reach, min(target, s, k,
+rank(A)), is proved from the first draw's U where it can be
+(`_certified_required`), so that A's own SVD is taken only when that fails.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rank_cutoff, as_matrix, numerical_rank, pinv
+from .linalg import RANK_TOL, _rank_cutoff, as_matrix, numerical_rank, pinv
 
 MAX_RETRIES = 100  # random selections drawn before a sampler gives up
 
@@ -121,6 +125,28 @@ def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
     return required
 
 
+def _certified_required(a: np.ndarray, target_rank: int, s: int, k: int, seed: int) -> int:
+    """`_required_rank(target_rank, s, k, numerical_rank(a))` of validated `a`, without A's SVD
+    when the first draw from `seed` proves rank(A) >= r0 = min(target_rank, s, k).
+
+    Singular values interlace for submatrices (Thompson 1972): sigma_i(U) <= sigma_i(A) for U
+    of the draw, and sigma_1(A) <= ||A||_F <= sqrt(mn) max|a_ij|, a maximum that is exact in
+    floating point.  So sigma_r0(U) above twice `numerical_rank`'s cutoff at that bound puts
+    r0 singular values of A above its cutoff; the factor 2 covers LAPACK's backward error of
+    p(n) eps sigma_1, far below RANK_TOL max(m, n) sigma_1.  Where the bound is not a finite
+    normal float, or the draw misses it, A's SVD decides as before.
+    """
+    m, n = a.shape
+    r0 = min(target_rank, s, k)
+    bound = 2 * RANK_TOL * max(m, n) * math.sqrt(m * n) * float(max(a.max(), -a.min()))
+    if r0 >= 1 and s <= m and k <= n and math.isfinite(bound) and bound >= sys.float_info.min:
+        rows, cols = _draw(m, n, s, k, seed)
+        u = a[rows] if k == n else a[np.ix_(rows, cols)]  # the seed's U, as `_sample` takes it
+        if np.linalg.svd(u, compute_uv=False)[r0 - 1] > bound:
+            return r0
+    return _required_rank(target_rank, s, k, numerical_rank(a))
+
+
 def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries=MAX_RETRIES):
     """Rows and columns of the first draw of validated `a` with rank(U) >= `required`, and U's SVD.
 
@@ -156,7 +182,6 @@ def cur_sample(
     deterministic.
     """
     a = as_matrix(a)
-    rank_a = numerical_rank(a)
-    required = _required_rank(rank_a if target_rank is None else target_rank, s, k, rank_a)
+    required = _certified_required(a, min(s, k) if target_rank is None else target_rank, s, k, seed)
     rows, cols, _ = _sample(a, s, k, required, seed, max_retries)
     return _extract(a, IndexSelection(row_indices=rows, col_indices=cols))

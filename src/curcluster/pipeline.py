@@ -20,8 +20,8 @@ import numpy as np
 from . import cluster as _cluster
 from . import simgen
 from .cluster import LabelVector
-from .cur import _required_rank, _sample
-from .linalg import _pinv_from_svd, as_matrix, numerical_rank
+from .cur import _certified_required, _sample
+from .linalg import _pinv_from_svd, as_matrix
 
 BACKENDS = ("pcc", "spectral", "kmeans")
 
@@ -165,16 +165,17 @@ def _proto_factors(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int)
 def _stores_factors(n_trials: int, k: int, n: int) -> bool:
     """Whether proto's median comes from its trials' stored factors rather than a folded stack.
 
-    Each path's working set in bytes, beside the float64 n x n median both build: the factors'
-    n_trials + 1 slots and one (n_trials, b, b) float32 tile buffer of `simgen.median_aggregate`,
-    against the folded stack and `_proto_stack`'s workspace.  The factors win at proto's default
-    k = min(n, 24 r) for large n (37.4 against 79.2 MB at n = 1200, 25 trials; 19.4 against
-    20.2 MB at n = 600), and lose at k = n and for small n, where the tiles are as large as the
-    matrices.
+    Each path's peak in bytes, counting what is alive at once.  The factors' n_trials + 1 slots
+    and one (n_trials, b, b) float32 tile buffer of `simgen.median_aggregate` live beside the
+    float64 n x n median.  The folded stack lives beside `_proto_stack`'s workspace and then
+    beside the median, which is built after the workspace is freed.  The factors win at proto's
+    default k = min(n, 24 r) for large n (48.9 against 83.6 MB at n = 1200, 25 trials), and lose
+    at k = n and for small n, where the tiles are as large as the matrices (22.3 against
+    20.9 MB at n = 600).
     """
     b = simgen._tile_width(n)
-    factors = (n_trials + 1) * k * n * 4 + n_trials * b * b * 4
-    folded = n_trials * n * (n + 1) // 2 * 4 + max(8 * k * n, 4 * k * n + 4 * n * n)
+    factors = (n_trials + 1) * k * n * 4 + n_trials * b * b * 4 + 8 * n * n
+    folded = n_trials * n * (n + 1) // 2 * 4 + max(8 * k * n, 4 * k * n + 4 * n * n, 8 * n * n)
     return factors <= folded
 
 
@@ -188,7 +189,7 @@ def _rcur_factors(w, r_max: int, seeds) -> np.ndarray:
     scale up: R's zero columns stay 0.
     """
     n = w.shape[1]
-    required = _required_rank(r_max, r_max, n, numerical_rank(w))
+    required = _certified_required(w, r_max, r_max, n, seeds[0])
     factors = np.zeros((len(seeds), r_max, n))
     for factor, seed in zip(factors, seeds):
         rows, _, (_, _, vt) = _sample(w, r_max, n, required, seed)
@@ -208,7 +209,7 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
         raise ValueError("target_rank exceeds min(m, n)")
     n = w.shape[1]
     rows, cols = config.rows(), config.cols(n)
-    required = _required_rank(config.target_rank, rows, cols, numerical_rank(w))
+    required = _certified_required(w, config.target_rank, rows, cols, config.seed)
     draws = (_sample(w, rows, cols, required, seed)
              for seed in range(config.seed, config.seed + config.n_trials))
     trials = _proto_factors if _stores_factors(config.n_trials, cols, n) else _proto_stack

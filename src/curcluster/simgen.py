@@ -237,6 +237,28 @@ def _middle(stack: np.ndarray) -> np.ndarray:
     return np.abs(mid, out=mid)
 
 
+#: widest diagonal tile that `_diagonal_median` medians whole, lower half included
+_LEAF = 32
+
+
+def _diagonal_median(tile: np.ndarray, out: np.ndarray) -> None:
+    """Write the median of a (t, b, b) tile of exactly symmetric matrices into `out` (b x b).
+
+    Past `_LEAF` columns only the upper triangle is partitioned: the off-diagonal quadrant and
+    its mirror, then each half-width diagonal tile in turn, all as views of `tile`, which is
+    partitioned in place.
+    """
+    b = tile.shape[1]
+    if b <= _LEAF:
+        out[...] = _middle(tile)
+        return
+    h = b // 2
+    out[:h, h:] = _middle(tile[:, :h, h:])
+    out[h:, :h] = out[:h, h:].T
+    _diagonal_median(tile[:, :h, :h], out[:h, :h])
+    _diagonal_median(tile[:, h:, h:], out[h:, h:])
+
+
 def _factor_median(factors: np.ndarray) -> np.ndarray:
     """The float64 median of k trials' F.T F from their factors F (k x c x n), one tile at a time."""
     k, _, n = factors.shape
@@ -249,8 +271,10 @@ def _factor_median(factors: np.ndarray) -> np.ndarray:
             right = factors[:, :, j : j + b]
             tile = grams[:, : left.shape[1], : right.shape[2]]
             np.matmul(left, right, out=tile)  # syrk on the diagonal, as the full F.T @ F
-            mat[i : i + b, j : j + b] = _middle(tile)
-            if j > i:
+            if j == i:
+                _diagonal_median(tile, mat[i : i + b, i : i + b])
+            else:
+                mat[i : i + b, j : j + b] = _middle(tile)
                 mat[j : j + b, i : i + b] = mat[i : i + b, j : j + b].T
     return mat
 
@@ -270,11 +294,14 @@ def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
       tile of ceil(n / ceil(n / 128)) columns at a time (blocked as in Goto
       and van de Geijn 2008): one batched `np.matmul` gives every trial's
       tile into a reused (k, b, b) buffer, which is partitioned along its
-      trial axis.  The tile and its mirror go into the result, so the k Gram
-      matrices are never held, and the factors are not changed.
-    Either way `_middle` takes the median once per upper-triangle entry,
-    along the trial axis, in the input's dtype, and the result is a
-    symmetric float64 matrix.  An even count averages the middle two.  The
+      trial axis, a diagonal tile in its upper triangle only, down to
+      diagonal blocks of at most `_LEAF` columns that are taken whole
+      (`_diagonal_median`).  The tile and its mirror go into the result, so
+      the k Gram matrices are never held, and the factors are not changed.
+    Either way `_middle` takes the median once per upper-triangle entry
+    (and per lower-triangle entry of those small blocks), along the trial
+    axis, in the input's dtype, and the result is a symmetric float64
+    matrix.  An even count averages the middle two.  The
     input must be finite, as the trial loops' is: unlike `np.median`, the
     partition does not turn a NaN trial into a NaN median.  The two forms
     give the same bits wherever a tile of `np.matmul`'s F.T F equals that

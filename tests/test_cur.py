@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curcluster.cur import (
     IndexSelection,
     RankDeficientSelection,
     SelectionFailed,
+    _certified_required,
     _required_rank,
     _sample,
     cur_factorize,
@@ -190,6 +192,44 @@ class TestSampler:
         factors = cur_sample(a, 12, 12, seed=seed, target_rank=3)
         y = _pinv_from_svd(*svd) @ a[rows]
         np.testing.assert_array_equal(y, coefficient_matrix(factors))
+
+
+@st.composite
+def rank_instances(draw):
+    """A planted-rank matrix at one of several scales, with s, k and a target drawn around it:
+    ranks above, at and below min(target, s, k), more rows than the target, fewer columns than n,
+    and scales at which the certificate's bound overflows or underflows."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rank = draw(st.integers(1, min(m, n)))
+    s = draw(st.integers(1, m))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    target = draw(st.integers(1, min(m, n) + 2))
+    scale = draw(st.sampled_from([1.0, 2.0**40, 2.0**-40, 1e300, 1e-300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return planted(rng, m, n, rank) * scale, target, s, k, draw(st.integers(0, 2**16))
+
+
+class TestCertifiedRequired:
+    """The first draw's U proves rank(A) >= min(target, s, k) in place of A's SVD, or A's SVD
+    decides: either way the rank is `_required_rank`'s."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(instance=rank_instances())
+    def test_equals_required_rank_of_the_data(self, instance):
+        a, target, s, k, seed = instance
+        assert np.isfinite(a).all()
+        expected = _required_rank(target, s, k, numerical_rank(a))
+        assert _certified_required(a, target, s, k, seed) == expected
+
+    def test_zero_matrix_fails(self):
+        with pytest.raises(SelectionFailed, match="target rank 0 is degenerate"):
+            _certified_required(np.zeros((6, 5)), 3, 4, 5, seed=0)
+
+    @pytest.mark.parametrize("target_rank", [None, 6])
+    def test_cur_sample_on_noisy_data_takes_no_svd_of_a(self, rng, monkeypatch, target_rank):
+        a = planted(rng, 40, 30, 4) + 1e-3 * rng.standard_normal((40, 30))
+        monkeypatch.setattr("curcluster.cur.numerical_rank", pytest.fail)
+        assert cur_sample(a, 8, 20, seed=1, target_rank=target_rank).u.shape == (8, 20)
 
 
 class TestExactReconstructionProperty:

@@ -280,7 +280,8 @@ def counted(monkeypatch):
 
 
 class TestOneSvdPerTrial:
-    """rank(W) once per pipeline call, then one SVD of U per accepted draw."""
+    """One draw and its singular values per pipeline call, which prove the rank the trials need
+    (`cur._certified_required`) in place of W's SVD, then one SVD of U per accepted draw."""
 
     def noisy(self):
         model = random_union_model(30, [3, 3], seed=40)
@@ -289,7 +290,7 @@ class TestOneSvdPerTrial:
     def test_proto(self, counted):
         cfg = ProtoConfig(m_subspaces=2, target_rank=6, n_trials=7, seed=2)
         proto_similarity(self.noisy().data, cfg)
-        assert counted["select"] == 7  # every first draw was rank-sufficient
+        assert counted["select"] == 1 + 7  # every first draw was rank-sufficient
         assert counted["svd"] == 1 + 7
 
     def test_rcur(self, counted):
@@ -298,9 +299,37 @@ class TestOneSvdPerTrial:
             counted.update(svd=0, select=0)
             cfg = RcurConfig(r_min=r_min, r_max=6, alpha=2.0, n_trials=5, seed=1)
             rcur_cluster(self.noisy().data, 2, cfg)
-            assert counted["select"] == 5
+            assert counted["select"] == 1 + 5
             # eigh, not svd, embeds the spectral step
             assert counted["svd"] == 1 + 5
+
+
+class TestCertifiedRank:
+    """On noisy data the first draw proves the rank the trials need, and W's SVD is not taken."""
+
+    @pytest.fixture
+    def ranks(self, monkeypatch):
+        calls = []
+        rank = cur.numerical_rank
+        monkeypatch.setattr(cur, "numerical_rank", lambda a: calls.append(a.shape) or rank(a))
+        return calls
+
+    @pytest.mark.parametrize("cols", [None, 60])  # every column, and fewer
+    def test_noisy_proto(self, ranks, cols):
+        w = sample_instance(random_union_model(60, [4, 4, 4], seed=60), [50] * 3, 0.05, 61).data
+        proto_similarity(w, ProtoConfig(3, 12, n_trials=3, cols_per_trial=cols))
+        assert ranks == []
+
+    def test_noisy_rcur(self, ranks):
+        w = sample_instance(random_union_model(60, [4, 4, 4], seed=60), [50] * 3, 0.05, 61).data
+        rcur_cluster(w, 3, RcurConfig(2, 14, 2.0, n_trials=3))
+        assert ranks == []
+
+    def test_noise_free_rcur_above_the_rank_takes_one_svd_of_w(self, ranks):
+        w = sample_instance(random_union_model(60, [4, 4, 4], seed=60), [10] * 3, 0.0, 61).data
+        result = rcur_cluster(w, 3, RcurConfig(2, 14, 2.0, n_trials=3))
+        assert ranks == [w.shape]  # rank(W) = 12 < r_max: the fallback, once
+        assert [r for r, _ in result.ncut_per_rank] == list(range(2, 15))
 
 
 @pytest.fixture
@@ -485,10 +514,9 @@ class TestTrialWorkspace:
         assert peak < 4 * n * n, f"peak {peak / (4 * n * n):.2f} float32 n x n arrays"
 
     def test_proto_peak_below_stack_and_one_and_three_quarter_matrices(self):
-        # at the default 288 columns this n takes the factor path (`_stores_factors`): the
-        # factors, as large as the folded stack, one tile buffer and the median with its
-        # validation peak at 1.48 here; the folded stack, whose 8n^2-byte workspace is freed
-        # before the median, peaked at 1.08
+        # at the default 288 columns this n keeps the folded stack (`_stores_factors`), whose
+        # 8n^2-byte workspace is freed before the median: it peaked at 1.08 here, where the
+        # factor path's factors, one tile buffer and the median with its validation peaked at 1.48
         model = random_union_model(60, [4, 4, 4], seed=60)
         w = sample_instance(model, [200, 200, 200], 0.01, seed=61).data
         n = w.shape[1]
@@ -520,11 +548,12 @@ class TestStoredFactors:
         return sample_instance(model, [points] * 3, 0.05, seed=61).data
 
     @pytest.mark.parametrize("n_trials, k, n, stores", [
-        (25, 288, 1200, True),  # proto_n1200's ops
-        (2, 288, 1200, True),  # and its set-up's warm-up median
+        # peaks in MB, factors against folded (each with the float64 median where it coexists)
+        (25, 288, 1200, True),  # proto_n1200's ops: 48.9 against 83.6
+        (2, 288, 1200, True),  # and its set-up's warm-up median: 15.8 against 17.3
         (25, 1200, 1200, False),  # every column
-        (25, 288, 600, True),  # the n = 600 memory test of TestTrialWorkspace: 19.4 against 20.2 MB
-        (25, 150, 150, False),  # the acceptance sweeps and sweep_case2
+        (25, 288, 600, False),  # the n = 600 memory test of TestTrialWorkspace: 22.3 against 20.9
+        (25, 150, 150, False),  # the acceptance sweeps and sweep_case2: 3.1 against 1.3
     ])
     def test_rule(self, n_trials, k, n, stores):
         assert pipeline._stores_factors(n_trials, k, n) is stores

@@ -21,6 +21,7 @@ from curcluster.simgen import (
     sim_baseline,
     similarity_noise_free,
     threshold_volumetric,
+    _LEAF,
     _tile_width,
 )
 
@@ -528,13 +529,13 @@ class TestMedianMatchesNumpy:
 
 
 @st.composite
-def trial_factors(draw):
-    """t float32 factors F (k x n): n past one tile and not a multiple of the tile width, some
-    columns zero with either sign, and half of them rounded to integers (ties, and -0.0 in the
-    Gram products wherever a zero column meets a negative one).  t = 50 with k <= 14 is rcur's
-    shape (50 trials of at most r_max = 14 rows)."""
+def trial_factors(draw, n=st.integers(129, 400).filter(lambda n: n % _tile_width(n))):
+    """t float32 factors F (k x n): by default n past one tile and not a multiple of the tile
+    width, some columns zero with either sign, and half of them rounded to integers (ties, and
+    -0.0 in the Gram products wherever a zero column meets a negative one).  t = 50 with k <= 14
+    is rcur's shape (50 trials of at most r_max = 14 rows)."""
     t = draw(st.sampled_from([1, 2, 3, 24, 25, 50]))
-    n = draw(st.integers(129, 400).filter(lambda n: n % _tile_width(n)))
+    n = draw(n)
     k = draw(st.integers(1, 14 if t == 50 else 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     factors = rng.standard_normal((t, k, n)) * 2.0
@@ -551,6 +552,19 @@ class TestFactorMedian:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(factors=trial_factors())
     def test_bit_for_bit_with_the_folded_stack(self, factors):
+        self.check(factors)
+
+    # one diagonal tile n wide: below, at and just above the width taken whole, odd and even, and
+    # tiles that split once (64, 66) or twice (65: 32 and 33, then 16 and 17)
+    @pytest.mark.parametrize("n", [_LEAF - 2, _LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 2,
+                                   2 * _LEAF, 2 * _LEAF + 1, 2 * _LEAF + 2])
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit_around_the_leaf(self, n, data):
+        self.check(data.draw(trial_factors(n=st.just(n))))
+
+    @staticmethod
+    def check(factors):
         t, _, n = factors.shape
         stack = np.empty((t, n * (n + 1) // 2), dtype=np.float32)
         gram = np.empty((n, n), dtype=np.float32)
