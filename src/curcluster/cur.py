@@ -104,9 +104,16 @@ def cur_factorize(a, selection: IndexSelection) -> CurFactors:
     """Exact CUR factors of `a` for the given selection.
 
     Requires rank(U) = rank(A); raises RankDeficientSelection otherwise
-    so the caller can retry with a fresh selection.
+    so the caller can retry with a fresh selection.  Indices outside A are
+    a ValueError, negative ones included.
     """
     a = as_matrix(a)
+    for name, idx, size in (("row", selection.row_indices, a.shape[0]),
+                            ("col", selection.col_indices, a.shape[1])):
+        idx = np.asarray(idx)
+        outside = idx[(idx < 0) | (idx >= size)]
+        if outside.size:
+            raise ValueError(f"{name} index {outside[0]} is outside [0, {size})")
     factors = _extract(a, selection)
     rank_a = numerical_rank(a)
     rank_u = numerical_rank(factors.u)

@@ -6,9 +6,9 @@ median pipeline over random CUR approximations, and the rank-sweep
 variant that picks the rank minimizing the Ncut value of the resulting
 spectral partition.  `simgen.median_aggregate` medians the noisy
 pipelines' Gram matrices from their trials' stored factors, one tile at a
-time; below a size that arithmetic sets, the median pipeline folds each
-trial's Gram matrix into a packed stack instead.  The rank sweep's ranks
-share its draws.
+time; below a size that arithmetic sets, the median pipeline copies each
+trial's Gram matrix into a stack instead, block by block in the order the
+median walks it.  The rank sweep's ranks share its draws.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class ProtoConfig:
         rows = self.rows()
         if rows < self.target_rank:
             raise ValueError("rows_per_trial must be >= target_rank")
+        if self.cols_per_trial is not None and self.cols_per_trial < self.target_rank:
+            raise ValueError("cols_per_trial must be >= target_rank")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -123,25 +125,25 @@ def _proto_factor(w, draw, m_subspaces: int, rank: int, y: np.ndarray) -> np.nda
 
 
 def _proto_stack(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
-    """proto's n_trials trial Gram matrices F.T F, upper triangles folded into one float32 stack.
+    """proto's n_trials trial Gram matrices F.T F, folded into one float32 stack.
 
-    Row i holds trial i's F.T F, folded by `simgen.FoldedLayout` (three block copies, no index).
-    One workspace of max(8kn, 4kn + 4n^2) bytes serves every trial: its first 8kn bytes take Y
-    and then F (`_proto_factor`), and F.T F (n x n float32, numpy's syrk path, so exactly
-    symmetric) goes into the bytes after F.  It is freed on return, before the median's peak.
-    A float32 product errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002, ch. 3): 7e-5
-    relative at n = 1200, far below the noise level at which the trials' median varies.
+    Row i holds trial i's F.T F block by block, in the order `simgen.median_aggregate` walks it
+    (`simgen.fold`).  One workspace of max(8kn, 4kn + 4n^2) bytes serves every trial: its first
+    8kn bytes take Y and then F (`_proto_factor`), and F.T F (n x n float32, numpy's syrk path,
+    so exactly symmetric) goes into the bytes after F.  It is freed on return, before the
+    median's peak.  A float32 product errs by at most about n * 6e-8 * |f|.T |f| (Higham 2002,
+    ch. 3): 7e-5 relative at n = 1200, far below the noise level at which the trials' median
+    varies.
     """
     n = w.shape[1]
     # the stack first, so that it can take the heap hole the previous call's stack left
-    stack = np.empty((n_trials, n * (n + 1) // 2), dtype=np.float32)
+    stack = np.empty((n_trials, simgen._row_length(n)), dtype=np.float32)
     buffer = np.empty(max(k * n, (k * n + n * n + 1) // 2))
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
-    layout = simgen.FoldedLayout(n)
     for row, draw in zip(stack, draws, strict=True):
         f = _proto_factor(w, draw, m_subspaces, rank, y)
-        layout.fold(np.matmul(f.T, f, out=gram), row)
+        simgen.fold(np.matmul(f.T, f, out=gram), row)
     return stack
 
 
@@ -167,15 +169,16 @@ def _stores_factors(n_trials: int, k: int, n: int) -> bool:
 
     Each path's peak in bytes, counting what is alive at once.  The factors' n_trials + 1 slots
     and one (n_trials, b, b) float32 tile buffer of `simgen.median_aggregate` live beside the
-    float64 n x n median.  The folded stack lives beside `_proto_stack`'s workspace and then
-    beside the median, which is built after the workspace is freed.  The factors win at proto's
-    default k = min(n, 24 r) for large n (48.9 against 83.6 MB at n = 1200, 25 trials), and lose
-    at k = n and for small n, where the tiles are as large as the matrices (22.3 against
-    20.9 MB at n = 600).
+    float64 n x n median.  The folded stack, n_trials rows of `simgen._row_length(n)` float32
+    entries, lives beside `_proto_stack`'s workspace and then beside the median, which is built
+    after the workspace is freed.  The factors win at proto's default k = min(n, 24 r) for large
+    n (48.9 against 85.3 MB at n = 1200, 25 trials), and lose at k = n and for small n, where
+    the tiles are as large as the matrices (22.3 against 21.8 MB at n = 600).
     """
     b = simgen._tile_width(n)
     factors = (n_trials + 1) * k * n * 4 + n_trials * b * b * 4 + 8 * n * n
-    folded = n_trials * n * (n + 1) // 2 * 4 + max(8 * k * n, 4 * k * n + 4 * n * n, 8 * n * n)
+    stack = n_trials * simgen._row_length(n) * 4
+    folded = stack + max(8 * k * n, 4 * k * n + 4 * n * n, 8 * n * n)
     return factors <= folded
 
 
@@ -201,8 +204,9 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
     """Median of n_trials thresholded CUR similarity matrices of `w`, its diagonal pinned to 1.
 
     The trials' F are kept (`_proto_factors`) and `simgen.median_aggregate` takes the median of
-    their F.T F one tile at a time, or each F.T F is folded into a stack (`_proto_stack`) that it
-    medians: whichever working set is smaller (`_stores_factors`).  Both give the same bits.
+    their F.T F one tile at a time, or each F.T F is copied into a stack (`_proto_stack`) in the
+    order of the median's walk, which it medians with this n: whichever working set is smaller
+    (`_stores_factors`).  Both give the same bits.
     """
     w = as_matrix(w)
     if config.target_rank > min(w.shape):
@@ -214,7 +218,7 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
              for seed in range(config.seed, config.seed + config.n_trials))
     trials = _proto_factors if _stores_factors(config.n_trials, cols, n) else _proto_stack
     sim = simgen.median_aggregate(
-        trials(w, draws, config.m_subspaces, cols, required, config.n_trials))
+        trials(w, draws, config.m_subspaces, cols, required, config.n_trials), n)
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 

@@ -7,7 +7,10 @@ is an exact similarity matrix.  The noisy pipelines instead combine a
 volumetric threshold, column normalization, entrywise medians over many
 random factorizations, and elementwise powers; those transforms all live
 here as well.  The threshold rounds Y to float32 in place and keeps every
-entry at or above its cut, so what it keeps depends on values only.
+entry at or above its cut, so what it keeps depends on values only.  The
+median visits the upper triangle in one walk of blocks, whether the
+trials' Gram matrices come as a stack whose rows hold them in that order
+or as the trials' factors, whose Gram columns are taken a tile at a time.
 
 Coefficient matrices are plain k x n numpy arrays; a `SimilarityMatrix`
 carries its entries only and validates them where it is built.  The
@@ -16,6 +19,7 @@ per-trial kernels take trusted arrays that the library made.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,57 +172,16 @@ def threshold_volumetric(y: np.ndarray, m_subspaces: int) -> np.ndarray:
     return out
 
 
-class FoldedLayout:
-    """Where a symmetric n x n matrix's upper triangle sits in one stack row, with no index.
-
-    A row of n(n+1)/2 entries is viewed as a (2h + 1) x c array P, h = n // 2,
-    c = n - h (Gustavson et al. 2010's rectangular full packed format):
-    P[:h+1] holds g[:h+1, h:], every pair with one end at most h and one at
-    least h; P[h+1:]'s lower triangle, diagonal included, holds g[:h, :h],
-    the pairs within the first h; and P[h+1:h+c]'s strict upper triangle
-    holds g[h+1:, h:]'s, the pairs within the last c - 1.  Since g = g.T
-    exactly, P holds each entry of the upper triangle once, for either
-    parity of n.  `fold` writes the layout and `unfold` reads it back; the
-    strict-upper mask is made once per layout.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.h = n // 2
-        self.c = n - self.h
-        self.strict_upper = ~np.tri(self.c - 1, self.c, dtype=bool)
-
-    def fold(self, gram: np.ndarray, row: np.ndarray) -> None:
-        """Write symmetric `gram`'s upper triangle into `row`: three block copies."""
-        h, c = self.h, self.c
-        p = row.reshape(2 * h + 1, c)
-        p[: h + 1] = gram[: h + 1, h:]
-        p[h + 1 :] = gram[:h, :c]  # its strict upper part is overwritten next
-        np.copyto(p[h + 1 : h + c], gram[h + 1 :, h:], where=self.strict_upper)
-
-    def unfold(self, row: np.ndarray) -> np.ndarray:
-        """The symmetric float64 n x n matrix whose upper triangle `fold` wrote into `row`."""
-        h, c = self.h, self.c
-        p = row.reshape(2 * h + 1, c)
-        mat = np.empty((self.n, self.n))
-        mat[: h + 1, h:] = p[: h + 1]
-        mat[h:, : h + 1] = p[: h + 1].T
-        first = p[h + 1 :, :h]
-        np.copyto(mat[:h, :h], first)
-        np.copyto(mat[:h, :h], first.T, where=np.tri(h, k=-1, dtype=bool).T)
-        last = p[h + 1 : h + c]
-        np.copyto(mat[h + 1 :, h:], last, where=self.strict_upper)
-        np.copyto(mat[h:, h + 1 :], last.T, where=self.strict_upper.T)
-        return mat
-
-
-#: widest tile of Gram columns that `median_aggregate` takes from stored factors at once; the
-#: tiles are as even as n allows, ceil(n / ceil(n / _TILE)) columns (120 at n = 1200)
+#: widest tile of `median_aggregate`'s walk; the tiles are as even as n allows,
+#: ceil(n / ceil(n / _TILE)) columns (120 at n = 1200)
 _TILE = 128
+
+#: widest diagonal block of the walk, which is taken whole, lower half included
+_LEAF = 32
 
 
 def _tile_width(n: int) -> int:
-    """Columns per tile of `median_aggregate`'s factor path at n columns."""
+    """Columns per tile of `median_aggregate`'s walk at n columns."""
     return -(-n // -(-n // _TILE))
 
 
@@ -237,81 +200,93 @@ def _middle(stack: np.ndarray) -> np.ndarray:
     return np.abs(mid, out=mid)
 
 
-#: widest diagonal tile that `_diagonal_median` medians whole, lower half included
-_LEAF = 32
+@functools.cache  # the walk is taken once per trial of the folded stack
+def _diagonal_blocks(top: int, width: int) -> tuple:
+    """The blocks of a diagonal block `width` wide from `top`: past `_LEAF` columns its
+    off-diagonal quadrant, then the blocks of each half in turn."""
+    if width <= _LEAF:
+        return ((slice(top, top + width),) * 2,)
+    half = top + width // 2
+    return ((slice(top, half), slice(half, top + width)),
+            *_diagonal_blocks(top, width // 2), *_diagonal_blocks(half, top + width - half))
 
 
-def _diagonal_median(tile: np.ndarray, out: np.ndarray) -> None:
-    """Write the median of a (t, b, b) tile of exactly symmetric matrices into `out` (b x b).
+def _blocks(n: int):
+    """The median's walk of an n x n matrix's upper triangle: (rows, cols, blocks) per tile.
 
-    Past `_LEAF` columns only the upper triangle is partitioned: the off-diagonal quadrant and
-    its mirror, then each half-width diagonal tile in turn, all as views of `tile`, which is
-    partitioned in place.
+    Tiles are `_tile_width(n)` square, row of tiles by row of tiles, each from the diagonal
+    rightwards (blocked as in Goto and van de Geijn 2008).  A tile's blocks are (rows, cols)
+    slices within it: an off-diagonal tile is one block, and a diagonal tile is halved down to
+    diagonal blocks of at most `_LEAF` columns (`_diagonal_blocks`).  Each upper-triangle entry
+    is in one block, and so is each lower-triangle entry of those small diagonal blocks.
     """
-    b = tile.shape[1]
-    if b <= _LEAF:
-        out[...] = _middle(tile)
-        return
-    h = b // 2
-    out[:h, h:] = _middle(tile[:, :h, h:])
-    out[h:, :h] = out[:h, h:].T
-    _diagonal_median(tile[:, :h, :h], out[:h, :h])
-    _diagonal_median(tile[:, h:, h:], out[h:, h:])
-
-
-def _factor_median(factors: np.ndarray) -> np.ndarray:
-    """The float64 median of k trials' F.T F from their factors F (k x c x n), one tile at a time."""
-    k, _, n = factors.shape
     b = _tile_width(n)
-    grams = np.empty((k, b, b), dtype=factors.dtype)  # one tile of every trial's F.T F
-    mat = np.empty((n, n))
     for i in range(0, n, b):
-        left = factors[:, :, i : i + b].transpose(0, 2, 1)
         for j in range(i, n, b):
-            right = factors[:, :, j : j + b]
-            tile = grams[:, : left.shape[1], : right.shape[2]]
-            np.matmul(left, right, out=tile)  # syrk on the diagonal, as the full F.T @ F
-            if j == i:
-                _diagonal_median(tile, mat[i : i + b, i : i + b])
-            else:
-                mat[i : i + b, j : j + b] = _middle(tile)
-                mat[j : j + b, i : i + b] = mat[i : i + b, j : j + b].T
-    return mat
+            h, w = min(b, n - i), min(b, n - j)
+            blocks = _diagonal_blocks(0, w) if i == j else ((slice(0, h), slice(0, w)),)
+            yield slice(i, i + h), slice(j, j + w), blocks
 
 
-def median_aggregate(stack: np.ndarray) -> SimilarityMatrix:
-    """Entrywise median of k symmetric n x n Gram matrices, then absolute value.
+def _row_length(n: int) -> int:
+    """Entries in one trial's row of the stack: every block of the walk (12,657 at n = 150,
+    where the upper triangle is 11,325)."""
+    return sum((rs.stop - rs.start) * (cs.stop - cs.start)
+               for _, _, blocks in _blocks(n) for rs, cs in blocks)
 
-    The matrices come in one of two forms, told apart by `stack.ndim`:
-    - 2-D, folded: the packed k x n(n+1)/2 float array whose row i holds
-      trial i's upper triangle, folded by `FoldedLayout(n).fold`; `proto`'s
-      is float32.  It is partitioned in place, scrambling it, and its row
-      k // 2 ends up holding the median, in the stack's dtype, which is
-      unfolded into the result by block copies: no index and no loop over
-      rows.
-    - 3-D, factors: k trials' F (k x c x n), whose Gram matrices F.T F are
-      the matrices, in the factors' dtype.  The upper triangle is taken one
-      tile of ceil(n / ceil(n / 128)) columns at a time (blocked as in Goto
-      and van de Geijn 2008): one batched `np.matmul` gives every trial's
-      tile into a reused (k, b, b) buffer, which is partitioned along its
-      trial axis, a diagonal tile in its upper triangle only, down to
-      diagonal blocks of at most `_LEAF` columns that are taken whole
-      (`_diagonal_median`).  The tile and its mirror go into the result, so
-      the k Gram matrices are never held, and the factors are not changed.
-    Either way `_middle` takes the median once per upper-triangle entry
-    (and per lower-triangle entry of those small blocks), along the trial
-    axis, in the input's dtype, and the result is a symmetric float64
-    matrix.  An even count averages the middle two.  The
-    input must be finite, as the trial loops' is: unlike `np.median`, the
-    partition does not turn a NaN trial into a NaN median.  The two forms
-    give the same bits wherever a tile of `np.matmul`'s F.T F equals that
-    tile of the whole product, as it does bit for bit under the OpenBLAS
-    builds the tests run on, at one thread or two.
+
+def fold(gram: np.ndarray, row: np.ndarray) -> None:
+    """Copy exactly symmetric `gram`'s blocks into one stack row, in the order of the walk."""
+    end = 0
+    for rows, cols, blocks in _blocks(len(gram)):
+        tile = gram[rows, cols]
+        for rs, cs in blocks:
+            part = tile[rs, cs]
+            start, end = end, end + part.size
+            row[start:end].reshape(part.shape)[...] = part
+
+
+def median_aggregate(trials: np.ndarray, n: int | None = None) -> SimilarityMatrix:
+    """Entrywise median of t symmetric n x n Gram matrices, then absolute value.
+
+    Both forms of the matrices, told apart by `trials.ndim`, are taken block by block along one
+    walk of the upper triangle (`_blocks`):
+    - 2-D, a stack: row i holds trial i's blocks as `fold` copies them, `_row_length(n)`
+      entries for the caller's n (`proto`'s stack is float32).  Each block is a (t, h, w) view
+      of the stack, which is partitioned in place, scrambling it.
+    - 3-D, factors: t trials' F (t x c x n), whose Gram matrices F.T F are the matrices, in the
+      factors' dtype.  Per tile one batched `np.matmul` gives every trial's tile into a reused
+      (t, b, b) buffer, and the tile's blocks are views of it: the t Gram matrices are never
+      held, and the factors are not changed.
+    `_middle` partitions each block along the trial axis, in the input's dtype, and the block and
+    its mirror go into the symmetric float64 result.  An even count averages the middle two.
+    The input must be finite, as the trial loops' is: unlike `np.median`, the partition does not
+    turn a NaN trial into a NaN median.  The two forms give the same bits wherever a tile of
+    `np.matmul`'s F.T F equals that tile of the whole product, as it does bit for bit under the
+    OpenBLAS builds the tests run on, at one thread or two.
     """
-    if stack.ndim == 3:
-        return SimilarityMatrix(entries=_factor_median(stack))
-    n = (math.isqrt(8 * stack.shape[1] + 1) - 1) // 2  # solves n(n+1)/2 = row length
-    return SimilarityMatrix(entries=FoldedLayout(n).unfold(_middle(stack)))
+    factors = trials.ndim == 3
+    if factors:
+        n, b = trials.shape[2], _tile_width(trials.shape[2])
+        grams = np.empty((len(trials), b, b), dtype=trials.dtype)  # one tile of every F.T F
+    mat, end = np.empty((n, n)), 0
+    for rows, cols, blocks in _blocks(n):
+        upper, lower = mat[rows, cols], mat[cols, rows]
+        if factors:
+            tile = grams[:, : upper.shape[0], : upper.shape[1]]
+            # syrk on the diagonal, as the full F.T @ F
+            np.matmul(trials[:, :, rows].transpose(0, 2, 1), trials[:, :, cols], out=tile)
+        for rs, cs in blocks:
+            out = upper[rs, cs]
+            if factors:
+                block = tile[:, rs, cs]
+            else:
+                start, end = end, end + out.size
+                block = trials[:, start:end].reshape(-1, *out.shape)
+            mid = _middle(block)
+            out[...] = mid
+            lower[cs, rs] = mid.T
+    return SimilarityMatrix(entries=mat)
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:

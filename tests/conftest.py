@@ -23,13 +23,11 @@ def union_instance(seed, m=30, max_subspaces=4, max_dim=4, extra_points=3, sigma
 
 
 def pack(mats):
-    """Upper triangles of k symmetric n x n matrices, one folded row each: the median's stack."""
+    """k symmetric n x n matrices, one folded row each: the median's stack."""
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[1]
-    stack = np.empty((len(mats), n * (n + 1) // 2))
-    layout = simgen.FoldedLayout(n)
+    stack = np.empty((len(mats), simgen._row_length(mats.shape[1])))
     for mat, row in zip(mats, stack):
-        layout.fold(mat, row)
+        simgen.fold(mat, row)
     return stack
 
 

@@ -277,6 +277,9 @@ class TestClusterCommand:
          "alpha must be positive and finite"),
         (["--algo", "rcur", "--M", "2", "--rmin", "2", "--rmax", "3", "--alpha", "inf"],
          "alpha must be positive and finite"),
+        # fewer columns than the rank capped every trial's rank, and ran with exit 0
+        (["--algo", "proto", "--M", "3", "--rank", "12", "--cols", "2"],
+         "cols_per_trial must be >= target_rank"),
     ])
     def test_config_error_is_usage_error(self, dataset, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:

@@ -104,6 +104,17 @@ class TestCurFactorize:
         assert exc.value.u_rank == 1
         assert exc.value.required_rank == 2
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        # -3 is row 0 again on 3 rows: it passed the duplicate check and came out as rank(U)=1
+        ([0, -3], [0, 1], r"row index -3 is outside \[0, 3\)"),
+        ([0, 7], [0, 1], r"row index 7 is outside \[0, 3\)"),  # was a bare IndexError
+        ([0], [3], r"col index 3 is outside \[0, 3\)"),
+    ])
+    def test_rejects_indices_outside(self, rows, cols, message):
+        sel = IndexSelection(row_indices=np.array(rows), col_indices=np.array(cols))
+        with pytest.raises(ValueError, match=message):
+            cur_factorize(np.eye(3), sel)
+
     def test_submatrix_consistency(self, rng):
         a = planted(rng, 9, 11, 4)
         sel = select_uniform(9, 11, 6, 7, seed=5)

@@ -101,6 +101,12 @@ class TestProtoConfig:
         with pytest.raises(ValueError):
             ProtoConfig(m_subspaces=2, target_rank=6, rows_per_trial=4)
 
+    def test_rejects_cols_below_rank(self):
+        # two columns would cap every trial's rank at 2, far below the 12 asked for
+        with pytest.raises(ValueError, match="cols_per_trial must be >= target_rank"):
+            ProtoConfig(m_subspaces=3, target_rank=12, cols_per_trial=2)
+        assert ProtoConfig(m_subspaces=3, target_rank=12, cols_per_trial=12).cols(60) == 12
+
     def test_rejects_bad_backend(self):
         with pytest.raises(ValueError):
             ProtoConfig(m_subspaces=2, target_rank=4, backend="agglomerative")
@@ -147,7 +153,7 @@ class TestProtoCluster:
         )
         single = proto_similarity(inst.data, cfg)
         # median of one matrix is abs of that matrix itself
-        agg = median_aggregate(pack([single.entries]))
+        agg = median_aggregate(pack([single.entries]), len(single.entries))
         np.testing.assert_array_equal(single.entries, agg.entries)
 
     @pytest.mark.parametrize("backend", ["pcc", "spectral", "kmeans"])
@@ -233,7 +239,7 @@ class TestRcurCluster:
             rows = np.sort(rng.choice(30, r, replace=False))
             y = pinv(inst.data[rows]) @ inst.data[rows]
             trial_sims.append(normalize_columns(y).T @ normalize_columns(y))
-        sim = elementwise_power(median_aggregate(pack(trial_sims)), 2.0)
+        sim = elementwise_power(median_aggregate(pack(trial_sims), 20), 2.0)
         random_labels = LabelVector(labels=rng.integers(0, 2, 20), m_clusters=2)
         assert ncut_value(sim, inst.truth) < ncut_value(sim, random_labels)
 
@@ -478,34 +484,34 @@ class TestTrialWorkspace:
     def test_gram_in_shared_buffer_matches_fresh(self, monkeypatch, k, n):
         w, draws = self.draws(k, n, (0, 1))
         addresses = []
-        fold = simgen.FoldedLayout.fold
+        fold = simgen.fold
 
-        def recording(layout, gram, row):
+        def recording(gram, row):
             assert gram.dtype == np.float32 and np.array_equal(gram, gram.T)
             addresses.append(gram.__array_interface__["data"][0])
-            fold(layout, gram, row)
+            fold(gram, row)
 
-        monkeypatch.setattr(simgen.FoldedLayout, "fold", recording)
+        monkeypatch.setattr(simgen, "fold", recording)
         stack = pipeline._proto_stack(w, draws, 3, k, 12, 2)
         monkeypatch.undo()
         for (rows, _, svd), row in zip(draws, stack, strict=True):
             f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
             fresh, folded = np.empty((n, n), dtype=np.float32), np.empty_like(row)
-            simgen.FoldedLayout(n).fold(np.matmul(f.T, f, out=fresh), folded)
+            simgen.fold(np.matmul(f.T, f, out=fresh), folded)
             np.testing.assert_array_equal(row.view(np.uint32), folded.view(np.uint32))
         assert len(addresses) == 2 and len(set(addresses)) == 1  # one workspace for both trials
 
     def test_trial_allocates_no_n_by_n_array(self, monkeypatch):
         n = 300
         w, draws = self.draws(n, n, range(4))
-        fold = simgen.FoldedLayout.fold
+        fold = simgen.fold
 
-        def tracing(layout, gram, row):
+        def tracing(gram, row):
             if not tracemalloc.is_tracing():  # from the first fold: the stack and workspace exist
                 tracemalloc.start()
-            fold(layout, gram, row)
+            fold(gram, row)
 
-        monkeypatch.setattr(simgen.FoldedLayout, "fold", tracing)
+        monkeypatch.setattr(simgen, "fold", tracing)
         try:
             pipeline._proto_stack(w, draws, 3, n, 12, 4)
             peak = tracemalloc.get_traced_memory()[1]
@@ -549,11 +555,11 @@ class TestStoredFactors:
 
     @pytest.mark.parametrize("n_trials, k, n, stores", [
         # peaks in MB, factors against folded (each with the float64 median where it coexists)
-        (25, 288, 1200, True),  # proto_n1200's ops: 48.9 against 83.6
-        (2, 288, 1200, True),  # and its set-up's warm-up median: 15.8 against 17.3
+        (25, 288, 1200, True),  # proto_n1200's ops: 48.9 against 85.3
+        (2, 288, 1200, True),  # and its set-up's warm-up median: 15.8 against 17.4
         (25, 1200, 1200, False),  # every column
-        (25, 288, 600, False),  # the n = 600 memory test of TestTrialWorkspace: 22.3 against 20.9
-        (25, 150, 150, False),  # the acceptance sweeps and sweep_case2: 3.1 against 1.3
+        (25, 288, 600, False),  # the n = 600 memory test of TestTrialWorkspace: 22.3 against 21.8
+        (25, 150, 150, False),  # the acceptance sweeps and sweep_case2: 3.1 against 1.4
     ])
     def test_rule(self, n_trials, k, n, stores):
         assert pipeline._stores_factors(n_trials, k, n) is stores
@@ -602,8 +608,8 @@ from curcluster.synth import random_union_model, sample_instance
 
 digest = hashlib.sha256()
 median_aggregate = simgen.median_aggregate
-def recording(stack):
-    sim = median_aggregate(stack)
+def recording(*args):
+    sim = median_aggregate(*args)
     digest.update(sim.entries.tobytes())
     return sim
 simgen.median_aggregate = recording
@@ -826,7 +832,7 @@ class TestOneSimilarityMatrix:
         medians = []
         median_aggregate = simgen.median_aggregate
         monkeypatch.setattr(simgen, "median_aggregate",
-                            lambda stack: medians.append(median_aggregate(stack)) or medians[-1])
+                            lambda *args: medians.append(median_aggregate(*args)) or medians[-1])
         w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
         sim = proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=3))
         assert len(constructions) == 1

@@ -9,11 +9,11 @@ from curcluster.cur import IndexSelection, cur_factorize
 from curcluster.linalg import nuclear_norm, pinv
 from curcluster.simgen import (
     BLOCK_BYTES,
-    FoldedLayout,
     SimilarityMatrix,
     coefficient_matrix,
     elementwise_power,
     enforce_diagonal,
+    fold,
     gram_similarity,
     median_aggregate,
     normalize_columns,
@@ -22,6 +22,8 @@ from curcluster.simgen import (
     similarity_noise_free,
     threshold_volumetric,
     _LEAF,
+    _blocks,
+    _row_length,
     _tile_width,
 )
 
@@ -407,12 +409,12 @@ class TestSymmetryCheck:
 
 class TestMedianAggregate:
     def test_single_matrix_abs(self):
-        sim = median_aggregate(pack([[[1.0, -2.0], [-2.0, 1.0]]]))
+        sim = median_aggregate(pack([[[1.0, -2.0], [-2.0, 1.0]]]), 2)
         np.testing.assert_array_equal(sim.entries, [[1.0, 2.0], [2.0, 1.0]])
 
     def test_outlier_robust(self):
         mats = [np.full((2, 2), v) for v in (1.0, 5.0, 100.0)]
-        sim = median_aggregate(pack(mats))
+        sim = median_aggregate(pack(mats), 2)
         np.testing.assert_array_equal(sim.entries, np.full((2, 2), 5.0))
 
     def test_matches_naive_median(self, rng):
@@ -420,7 +422,7 @@ class TestMedianAggregate:
         for _ in range(25):
             a = rng.standard_normal((6, 6))
             mats.append(a + a.T)
-        sim = median_aggregate(pack(mats))
+        sim = median_aggregate(pack(mats), 6)
         for i in range(6):
             for j in range(6):
                 vals = sorted(m[i, j] for m in mats)
@@ -429,28 +431,37 @@ class TestMedianAggregate:
     def test_packed_matches_full(self, rng):
         mats = np.array([a + a.T for a in rng.standard_normal((8, 5, 5))])
         full = np.abs(np.median(mats, axis=0))
-        np.testing.assert_array_equal(median_aggregate(pack(mats)).entries, full)
+        np.testing.assert_array_equal(median_aggregate(pack(mats), 5).entries, full)
 
 
 class TestFold:
-    """The folded stack row holds each upper-triangle entry once, and the median unfolds it."""
+    """The walk's blocks hold each upper-triangle entry once, and the median unfolds them."""
 
-    @pytest.mark.parametrize("n", [*range(1, 8), 150, 151])
+    # one tile: up to and around one and two leaves; several tiles, as even as n allows
+    @pytest.mark.parametrize("n", [*range(1, 8), *range(31, 35), *range(64, 67), 129, 150, 151,
+                                   1200])
     def test_each_entry_once(self, n):
-        ids = np.zeros((n, n))
-        ids[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
-        row = np.empty(n * (n + 1) // 2)
-        FoldedLayout(n).fold(ids + np.triu(ids, 1).T, row)
-        np.testing.assert_array_equal(np.sort(row), np.arange(row.size))
+        counts = np.zeros((n, n), dtype=int)
+        index = np.arange(n)
+        for rows, cols, blocks in _blocks(n):
+            for rs, cs in blocks:
+                counts[rows, cols][rs, cs] += 1
+                top, left = index[rows][rs], index[cols][cs]
+                if top[-1] > left[0]:  # entries below the diagonal: only a small diagonal block
+                    np.testing.assert_array_equal(top, left)
+                    assert len(top) <= _LEAF
+        np.testing.assert_array_equal(np.triu(counts), np.triu(np.ones((n, n), dtype=int)))
+        assert counts.max() == 1
+        assert _row_length(n) == counts.sum() <= n * (n + 1) / 2 + n * (_LEAF - 1) / 2
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [*range(1, 8), 150, 151])
     def test_round_trip(self, rng, n, dtype):
         a = rng.standard_normal((n, n))
         g = (a + a.T).astype(dtype)
-        row = np.empty((1, n * (n + 1) // 2), dtype=dtype)
-        FoldedLayout(n).fold(g, row[0])
-        entries = median_aggregate(row).entries
+        row = np.empty((1, _row_length(n)), dtype=dtype)
+        fold(g, row[0])
+        entries = median_aggregate(row, n).entries
         assert entries.dtype == np.float64
         np.testing.assert_array_equal(entries, np.abs(g).astype(np.float64))
 
@@ -490,7 +501,7 @@ class TestMedianMatchesNumpy:
         mats = data.draw(symmetric_stacks(counts))
         stack = pack(mats)
         expected = np.abs(np.median(stack, axis=0))
-        got = pack([median_aggregate(stack).entries])[0]
+        got = pack([median_aggregate(stack, mats.shape[1]).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("counts", [TRIAL_COUNTS["odd"], TRIAL_COUNTS["even"]],
@@ -502,7 +513,7 @@ class TestMedianMatchesNumpy:
         mats = data.draw(symmetric_stacks(counts, np.float32))
         stack = pack(mats).astype(np.float32)
         expected = np.abs(np.median(stack, axis=0)).astype(np.float64)
-        entries = median_aggregate(stack).entries
+        entries = median_aggregate(stack, mats.shape[1]).entries
         assert entries.dtype == np.float64
         got = pack([entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -511,14 +522,14 @@ class TestMedianMatchesNumpy:
         # past a few dozen trials numpy's partition no longer leaves the lower middle at k // 2 - 1
         stack = pack([a + a.T for a in rng.standard_normal((400, 20, 20))])
         expected = np.abs(np.median(stack, axis=0))
-        got = pack([median_aggregate(stack).entries])[0]
+        got = pack([median_aggregate(stack, 20).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8])
     def test_partitions_the_stack_in_place(self, rng, k):
         stack = pack([a + a.T for a in rng.standard_normal((k, 5, 5))])
         column_sorted = np.sort(stack, axis=0)
-        median = pack([median_aggregate(stack).entries])[0]
+        median = pack([median_aggregate(stack, 5).entries])[0]
         # the median is formed in row k // 2; the rows around it hold a partition of the rest
         np.testing.assert_array_equal(stack[k // 2], median)
         rest = np.delete(stack, k // 2, axis=0)
@@ -566,11 +577,11 @@ class TestFactorMedian:
     @staticmethod
     def check(factors):
         t, _, n = factors.shape
-        stack = np.empty((t, n * (n + 1) // 2), dtype=np.float32)
+        stack = np.empty((t, _row_length(n)), dtype=np.float32)
         gram = np.empty((n, n), dtype=np.float32)
         for f, row in zip(factors, stack):
-            FoldedLayout(n).fold(np.matmul(f.T, f, out=gram), row)
-        expected = median_aggregate(stack).entries
+            fold(np.matmul(f.T, f, out=gram), row)
+        expected = median_aggregate(stack, n).entries
         before = factors.copy()
         got = median_aggregate(factors).entries
         assert got.dtype == np.float64
