@@ -46,7 +46,7 @@ class SelectionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class IndexSelection:
-    """Sorted, distinct row and column index sets of a CUR selection."""
+    """Sorted, distinct, integer-typed row and column index sets of a CUR selection."""
 
     row_indices: np.ndarray
     col_indices: np.ndarray
@@ -56,6 +56,8 @@ class IndexSelection:
             idx = np.asarray(idx)
             if idx.size == 0:
                 raise ValueError(f"empty {name} index set")
+            if idx.dtype.kind not in "iu":  # a float set or a boolean mask fails inside numpy
+                raise ValueError(f"{name} index set must be of integer type, got {idx.dtype}")
             if len(np.unique(idx)) != idx.size:
                 raise ValueError(f"duplicate {name} indices")
 

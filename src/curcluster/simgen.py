@@ -11,9 +11,13 @@ entry at or above its cut, so what it keeps depends on values only.  The
 median visits the upper triangle in one walk of blocks, whether the
 trials' Gram matrices come as a stack whose rows hold them in that order
 or as the trials' factors, whose Gram columns are taken a tile at a time.
+A tile's blocks of every trial form one slab, whose median along the
+trial axis is a pruned Batcher min/max network up to 32 trials and a
+partition past that.
 
 Coefficient matrices are plain k x n numpy arrays; a `SimilarityMatrix`
-carries its entries only and validates them where it is built.  The
+carries its entries only and validates them where it is built, except
+the median's, which is exactly symmetric and nonnegative as built.  The
 per-trial kernels take trusted arrays that the library made.
 """
 
@@ -67,6 +71,13 @@ class SimilarityMatrix:
         if entries.min() < 0:
             raise ValueError("similarity matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _unchecked(cls, entries: np.ndarray) -> SimilarityMatrix:
+        """A matrix its maker built exactly symmetric and nonnegative, float64, not checked."""
+        sim = object.__new__(cls)
+        object.__setattr__(sim, "entries", entries)
+        return sim
 
 
 def coefficient_matrix(factors: CurFactors) -> np.ndarray:
@@ -185,17 +196,65 @@ def _tile_width(n: int) -> int:
     return -(-n // -(-n // _TILE))
 
 
-def _middle(stack: np.ndarray) -> np.ndarray:
-    """|median| along axis 0 of `stack`'s t trials, a view of `stack`, which it partitions in place.
+@functools.cache
+def _network(t: int) -> tuple:
+    """Comparators (i, j, lo, hi) after which rows (t - 1) // 2 and t // 2 of t rows hold their
+    middle order statistics: the row-wise minimum goes to row i and the maximum to row j.
 
-    One partition at t // 2 finds the median: for an even t the lower middle is then the largest
-    entry below t // 2, and the two middles are averaged.
+    Batcher's odd-even merge sort (1968) of t rows padded with +inf to a power of two: a
+    comparator that touches the padding leaves it in place and is dropped.  Then, walking back
+    from the middle rows, only the comparators they depend on are kept (113 at t = 25, 1 at
+    t = 2, 330 at t = 50); lo and hi say whether the minimum and the maximum are read later.
     """
-    t = stack.shape[0]
-    stack.partition(t // 2, axis=0)
-    mid = stack[t // 2]  # a view: no array of its own at the caller's memory peak
+    p = 1 << (t - 1).bit_length()
+    pairs, size = [], 1
+    while size < p:  # merge sorted runs of `size` rows pairwise
+        step = size
+        while step:
+            for j in range(step % size, p - step, 2 * step):
+                for i in range(j, j + min(step, p - j - step)):
+                    if i // (2 * size) == (i + step) // (2 * size):
+                        pairs.append((i, i + step))
+            step //= 2
+        size *= 2
+    need, kept = {(t - 1) // 2, t // 2}, []
+    for i, j in reversed(pairs):
+        if j < t and (i in need or j in need):
+            kept.append((i, j, i in need, j in need))
+            need |= {i, j}
+    return tuple(reversed(kept))
+
+
+def _middle(slab: np.ndarray) -> np.ndarray:
+    """|median| of the t rows of a (t, L) slab with contiguous rows, which it scrambles.
+
+    Up to 32 rows (where the network has at most 5t comparators) `_network(t)` runs as whole-row
+    `np.minimum` / `np.maximum` passes, with one spare row whose reference a two-sided comparator
+    swaps for the row it replaced; past 32 one partition at t // 2 finds the median, and for an
+    even t the lower middle is then the largest entry below t // 2.  Both pick input entries, so
+    they give the same bits: an even t averages the upper and the lower middle, and the absolute
+    value is taken in place.
+    """
+    t = len(slab)
+    network = _network(t)
+    if len(network) <= 5 * t:
+        rows, spare = list(slab), np.empty_like(slab[0])
+        for i, j, lo, hi in network:
+            if lo and hi:
+                np.minimum(rows[i], rows[j], out=spare)
+                np.maximum(rows[i], rows[j], out=rows[j])
+                rows[i], spare = spare, rows[i]
+            elif lo:
+                np.minimum(rows[i], rows[j], out=rows[i])
+            else:
+                np.maximum(rows[i], rows[j], out=rows[j])
+        mid, lower = rows[t // 2], rows[t // 2 - 1]
+    else:
+        slab.partition(t // 2, axis=0)
+        mid = slab[t // 2]  # a view: no array of its own at the caller's memory peak
+        lower = slab[: t // 2].max(axis=0) if t % 2 == 0 else None
     if t % 2 == 0:
-        mid += stack[: t // 2].max(axis=0)
+        mid += lower
         mid /= 2
     return np.abs(mid, out=mid)
 
@@ -249,44 +308,50 @@ def fold(gram: np.ndarray, row: np.ndarray) -> None:
 def median_aggregate(trials: np.ndarray, n: int | None = None) -> SimilarityMatrix:
     """Entrywise median of t symmetric n x n Gram matrices, then absolute value.
 
-    Both forms of the matrices, told apart by `trials.ndim`, are taken block by block along one
-    walk of the upper triangle (`_blocks`):
+    Both forms of the matrices, told apart by `trials.ndim`, are taken tile by tile along one
+    walk of the upper triangle (`_blocks`), each tile as one (t, L) slab of its L block entries:
     - 2-D, a stack: row i holds trial i's blocks as `fold` copies them, `_row_length(n)`
-      entries for the caller's n (`proto`'s stack is float32).  Each block is a (t, h, w) view
-      of the stack, which is partitioned in place, scrambling it.
+      entries for the caller's n (`proto`'s stack is float32).  A tile's slab is the tile's
+      range of every row, a view of the stack, which the median scrambles.
     - 3-D, factors: t trials' F (t x c x n), whose Gram matrices F.T F are the matrices, in the
-      factors' dtype.  Per tile one batched `np.matmul` gives every trial's tile into a reused
-      (t, b, b) buffer, and the tile's blocks are views of it: the t Gram matrices are never
-      held, and the factors are not changed.
-    `_middle` partitions each block along the trial axis, in the input's dtype, and the block and
-    its mirror go into the symmetric float64 result.  An even count averages the middle two.
-    The input must be finite, as the trial loops' is: unlike `np.median`, the partition does not
-    turn a NaN trial into a NaN median.  The two forms give the same bits wherever a tile of
-    `np.matmul`'s F.T F equals that tile of the whole product, as it does bit for bit under the
+      factors' dtype.  Each block's batched `np.matmul` writes every trial's block into its
+      range of a reused slab of t b^2 entries (numpy's syrk on the small diagonal blocks): the
+      t Gram matrices are never held, and the factors are not changed.
+    `_middle` takes each slab's median along the trial axis, in the input's dtype, and each
+    block and its mirror go into the float64 result, which is thus exactly symmetric and, as an
+    absolute value, nonnegative: it is not checked again.  An even count averages the middle
+    two.  The input must be finite, as the trial loops' is: unlike `np.median`, neither kernel
+    turns a NaN trial into a NaN median.  The two forms give the same bits wherever a block of
+    `np.matmul`'s F.T F equals that block of the whole product, as it does bit for bit under the
     OpenBLAS builds the tests run on, at one thread or two.
     """
+    t = len(trials)
     factors = trials.ndim == 3
     if factors:
         n, b = trials.shape[2], _tile_width(trials.shape[2])
-        grams = np.empty((len(trials), b, b), dtype=trials.dtype)  # one tile of every F.T F
+        grams = np.empty(t * b * b, dtype=trials.dtype)  # one tile of every F.T F, as a slab
     mat, end = np.empty((n, n)), 0
     for rows, cols, blocks in _blocks(n):
         upper, lower = mat[rows, cols], mat[cols, rows]
-        if factors:
-            tile = grams[:, : upper.shape[0], : upper.shape[1]]
-            # syrk on the diagonal, as the full F.T @ F
-            np.matmul(trials[:, :, rows].transpose(0, 2, 1), trials[:, :, cols], out=tile)
+        parts, length = [], 0  # (rows, cols, shape, range in the slab) per block
         for rs, cs in blocks:
-            out = upper[rs, cs]
-            if factors:
-                block = tile[:, rs, cs]
-            else:
-                start, end = end, end + out.size
-                block = trials[:, start:end].reshape(-1, *out.shape)
-            mid = _middle(block)
-            out[...] = mid
-            lower[cs, rs] = mid.T
-    return SimilarityMatrix(entries=mat)
+            shape = upper[rs, cs].shape
+            parts.append((rs, cs, shape, slice(length, length + shape[0] * shape[1])))
+            length += shape[0] * shape[1]
+        if factors:
+            slab = grams[: t * length].reshape(t, length)
+            for rs, cs, shape, span in parts:
+                np.matmul(trials[:, :, rows][:, :, rs].transpose(0, 2, 1),
+                          trials[:, :, cols][:, :, cs], out=slab[:, span].reshape(t, *shape))
+        else:
+            start, end = end, end + length
+            slab = trials[:, start:end]
+        mid = _middle(slab)
+        for rs, cs, shape, span in parts:
+            part = mid[span].reshape(shape)
+            upper[rs, cs] = part
+            lower[cs, rs] = part.T
+    return SimilarityMatrix._unchecked(mat)
 
 
 def enforce_diagonal(mat: np.ndarray) -> np.ndarray:

@@ -115,6 +115,16 @@ class TestCurFactorize:
         with pytest.raises(ValueError, match=message):
             cur_factorize(np.eye(3), sel)
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        # both were bare IndexErrors from inside numpy
+        (np.array([0.5, 1.0]), np.array([0, 1, 2]), "row index set must be of integer type"),
+        (np.array([True, False]), np.array([0, 1]), "row index set must be of integer type"),
+        (np.array([0, 1]), np.array([1.0, 2.0]), "col index set must be of integer type"),
+    ])
+    def test_rejects_indices_not_integer(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            cur_factorize(np.eye(3), IndexSelection(row_indices=rows, col_indices=cols))
+
     def test_submatrix_consistency(self, rng):
         a = planted(rng, 9, 11, 4)
         sel = select_uniform(9, 11, 6, 7, seed=5)

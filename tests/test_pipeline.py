@@ -813,20 +813,26 @@ class TestFloat32RankCutoff:
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Count SimilarityMatrix constructions (each one validates its n x n entries)."""
+    """SimilarityMatrix constructions in order: "checked" where the n x n entries are validated,
+    "unchecked" for the median, which is exactly symmetric and nonnegative as built."""
     calls = []
-    post_init = simgen.SimilarityMatrix.__post_init__
+    post_init, unchecked = simgen.SimilarityMatrix.__post_init__, simgen.SimilarityMatrix._unchecked
 
     def counting(self):
-        calls.append(1)
+        calls.append("checked")
         post_init(self)
 
+    def counting_unchecked(entries):
+        calls.append("unchecked")
+        return unchecked(entries)
+
     monkeypatch.setattr(simgen.SimilarityMatrix, "__post_init__", counting)
+    monkeypatch.setattr(simgen.SimilarityMatrix, "_unchecked", counting_unchecked)
     return calls
 
 
 class TestOneSimilarityMatrix:
-    """Each pipeline builds and validates its similarity matrix once."""
+    """Each pipeline builds its similarity matrix once, and checks it unless the median built it."""
 
     def test_proto_pins_the_median_in_place(self, constructions, monkeypatch):
         medians = []
@@ -835,7 +841,7 @@ class TestOneSimilarityMatrix:
                             lambda *args: medians.append(median_aggregate(*args)) or medians[-1])
         w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
         sim = proto_similarity(w, ProtoConfig(m_subspaces=2, target_rank=6, n_trials=3))
-        assert len(constructions) == 1
+        assert constructions == ["unchecked"]
         assert sim is medians[0]
         np.testing.assert_array_equal(np.diag(sim.entries), 1.0)
 
@@ -847,7 +853,7 @@ class TestOneSimilarityMatrix:
         w = sample_instance(random_union_model(30, [3, 3], seed=40), [10, 10], 0.01, seed=41).data
         result = rcur_cluster(w, 2, RcurConfig(r_min=4, r_max=6, alpha=2.0, n_trials=3))
         assert len(medians) == len(result.ncut_per_rank) == 3
-        assert len(constructions) == 3  # one per rank: the median's own matrix
+        assert constructions == ["unchecked"] * 3  # one per rank: the median's own matrix
         for sim, (_, ncut) in zip(medians, result.ncut_per_rank):
             # the powered median is the matrix that was clustered, with the config's seed, and scored
             assert ncut_value(sim, cluster.spectral_cluster(sim, 2, 0)) == ncut
@@ -855,7 +861,7 @@ class TestOneSimilarityMatrix:
     def test_cluster_noise_free(self, constructions):
         inst = union_instance(4)
         cluster_noise_free(inst.data)
-        assert len(constructions) == 1
+        assert constructions == ["checked"]
 
 
 @st.composite

@@ -23,6 +23,7 @@ from curcluster.simgen import (
     threshold_volumetric,
     _LEAF,
     _blocks,
+    _network,
     _row_length,
     _tile_width,
 )
@@ -525,7 +526,8 @@ class TestMedianMatchesNumpy:
         got = pack([median_aggregate(stack, 20).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("k", [1, 2, 7, 8])
+    # past 32 trials the median partitions; the min/max network leaves no partition behind
+    @pytest.mark.parametrize("k", [33, 34, 49, 50])
     def test_partitions_the_stack_in_place(self, rng, k):
         stack = pack([a + a.T for a in rng.standard_normal((k, 5, 5))])
         column_sorted = np.sort(stack, axis=0)
@@ -538,14 +540,68 @@ class TestMedianMatchesNumpy:
         assert np.all(stack[: k // 2] <= column_sorted[k // 2])
         assert np.all(stack[k // 2 + 1:] >= column_sorted[k // 2])
 
+    @pytest.mark.parametrize("counts", TRIAL_COUNTS.values(), ids=TRIAL_COUNTS.keys())
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_exactly_symmetric_and_nonnegative(self, counts, data):
+        mats = data.draw(symmetric_stacks(counts))
+        assert_symmetric_nonnegative(median_aggregate(pack(mats), mats.shape[1]).entries)
+
+
+def assert_symmetric_nonnegative(entries):
+    """What `median_aggregate` promises in place of `SimilarityMatrix`'s checks, bit for bit."""
+    np.testing.assert_array_equal(entries.view(np.uint64), entries.T.view(np.uint64))
+    assert not np.signbit(entries).any()
+
+
+def run_network(x):
+    """`_network(len(x))` applied to the rows of x, writing only the outputs it keeps."""
+    x = x.copy()
+    for i, j, lo, hi in _network(len(x)):
+        low, high = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+        if lo:
+            x[i] = low
+        if hi:
+            x[j] = high
+    return x
+
+
+class TestNetwork:
+    """The pruned Batcher network leaves the middle order statistics in the middle rows."""
+
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_every_zero_one_input(self, t):
+        # the 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator network that selects on
+        # every 0/1 input selects on every input
+        x = (np.arange(2**t) >> np.arange(t)[:, None]) & 1
+        got, ones = run_network(x), x.sum(axis=0)
+        for row in {(t - 1) // 2, t // 2}:
+            np.testing.assert_array_equal(got[row], ones > t - 1 - row)
+
+    @pytest.mark.parametrize("t", range(1, 65))
+    def test_random_permutations(self, rng, t):
+        x = rng.random((t, 200)).argsort(axis=0)
+        got = run_network(x)
+        for row in {(t - 1) // 2, t // 2}:
+            np.testing.assert_array_equal(got[row], row)
+
+    @pytest.mark.parametrize("t, comparators", [(1, 0), (2, 1), (25, 113), (32, 157), (33, 198),
+                                                (50, 330)])
+    def test_size_and_the_kernel_boundary(self, t, comparators):
+        # `_middle` runs the network where it has at most 5t comparators: exactly t <= 32
+        assert len(_network(t)) == comparators
+        assert (comparators <= 5 * t) == (t <= 32)
+        assert all(i < j < t for i, j, _, _ in _network(t))
+
 
 @st.composite
 def trial_factors(draw, n=st.integers(129, 400).filter(lambda n: n % _tile_width(n))):
     """t float32 factors F (k x n): by default n past one tile and not a multiple of the tile
     width, some columns zero with either sign, and half of them rounded to integers (ties, and
     -0.0 in the Gram products wherever a zero column meets a negative one).  t = 50 with k <= 14
-    is rcur's shape (50 trials of at most r_max = 14 rows)."""
-    t = draw(st.sampled_from([1, 2, 3, 24, 25, 50]))
+    is rcur's shape (50 trials of at most r_max = 14 rows); t = 32 and 33 are the last count the
+    min/max network takes and the first that partitions."""
+    t = draw(st.sampled_from([1, 2, 3, 24, 25, 32, 33, 50]))
     n = draw(n)
     k = draw(st.integers(1, 14 if t == 50 else 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -585,6 +641,7 @@ class TestFactorMedian:
         before = factors.copy()
         got = median_aggregate(factors).entries
         assert got.dtype == np.float64
+        assert_symmetric_nonnegative(got)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(factors.view(np.uint32), before.view(np.uint32))
 
