@@ -58,28 +58,31 @@ def labels_path(path, suffix=".labels") -> Path:
     return path.with_suffix(suffix) if path.suffix == ".csv" else Path(str(path) + suffix)
 
 
+def _lines(path):
+    """(line number, stripped line) of each nonblank line of a text file, numbered from 1."""
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export puts first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
 def load_csv(path) -> DatasetFile:
     """Parse a numeric CSV and its optional sibling labels file."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
     rows = []
-    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export puts first
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append(list(map(float, cells)))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(rows[-1])} cells, "
-                    f"expected {len(rows[0])})"
-                )
+    for lineno, line in _lines(path):
+        try:
+            rows.append(list(map(float, line.split(","))))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric cell") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise DataError(
+                f"{path}:{lineno}: ragged row ({len(rows[-1])} cells, expected {len(rows[0])})"
+            )
     if not rows:
         raise DataError(f"{path}: empty file")
     try:
@@ -91,14 +94,10 @@ def load_csv(path) -> DatasetFile:
     lpath = labels_path(path)
     if lpath.is_file():
         values = []
-        with open(lpath, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if not line.isdecimal():
-                    raise DataError(f"{lpath}:{lineno}: label {line!r} is not an integer >= 0")
-                values.append(int(line))
+        for lineno, line in _lines(lpath):
+            if not line.isdecimal():
+                raise DataError(f"{lpath}:{lineno}: label {line!r} is not an integer >= 0")
+            values.append(int(line))
         if len(values) != matrix.shape[1]:
             raise DataError(
                 f"{lpath}: {len(values)} labels for {matrix.shape[1]} data columns"
@@ -303,19 +302,15 @@ def _load_manifest(path) -> dict:
     if not path.is_file():
         raise DataError(f"{path}: no such manifest")
     entries = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected `filename,category,M`")
-            try:
-                entries[parts[0]] = {"category": parts[1], "M": count(parts[2])}
-            except (ValueError, argparse.ArgumentTypeError):
-                raise DataError(f"{path}:{lineno}: cluster count {parts[2]!r} is not an "
-                                "integer >= 1") from None
+    for lineno, line in _lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected `filename,category,M`")
+        try:
+            entries[parts[0]] = {"category": parts[1], "M": count(parts[2])}
+        except (ValueError, argparse.ArgumentTypeError):
+            raise DataError(f"{path}:{lineno}: cluster count {parts[2]!r} is not an "
+                            "integer >= 1") from None
     return entries
 
 

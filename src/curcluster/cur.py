@@ -4,10 +4,11 @@ A CUR factorization picks index sets I (rows) and J (columns) of a
 matrix A and forms C = A[:, J], R = A[I, :] and U = A[I, J]; whenever
 rank(U) = rank(A) the identity A = C pinv(U) R holds exactly.  Rows and
 columns are selected uniformly at random; a draw whose U has deficient
-rank is rejected and retried.  Each draw takes one SVD, of U, and returns
-it cut to its rank, not Y.  The rank a draw must reach, min(target, s, k,
-rank(A)), is proved from the first draw's U where it can be
-(`_certified_required`), so that A's own SVD is taken only when that fails.
+rank is rejected and retried.  One generator (`_draws`) makes every draw:
+each takes one SVD, of U, and returns it cut to its rank, not Y.  The rank
+a draw must reach, min(target, s, k, rank(A)), is proved from the first
+draw's own singular values where it can be (`_required`), so that A's own
+SVD is taken only when that fails.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class SelectionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class IndexSelection:
-    """Sorted, distinct, integer-typed row and column index sets of a CUR selection."""
+    """One-dimensional, distinct, integer-typed row and column index sets of a CUR selection
+    (`select_uniform` returns them sorted)."""
 
     row_indices: np.ndarray
     col_indices: np.ndarray
@@ -54,6 +56,8 @@ class IndexSelection:
     def __post_init__(self):
         for name, idx in (("row", self.row_indices), ("col", self.col_indices)):
             idx = np.asarray(idx)
+            if idx.ndim != 1:  # np.ix_ fails on it inside numpy
+                raise ValueError(f"{name} index set must be one-dimensional, got ndim={idx.ndim}")
             if idx.size == 0:
                 raise ValueError(f"empty {name} index set")
             if idx.dtype.kind not in "iu":  # a float set or a boolean mask fails inside numpy
@@ -76,7 +80,7 @@ class CurFactors:
 
 
 def select_uniform(m: int, n: int, s: int, k: int, seed: int) -> IndexSelection:
-    """Draw s distinct rows of {0..m-1} and k distinct columns of {0..n-1}.
+    """Draw s distinct rows of {0..m-1} and k distinct columns of {0..n-1}, each set sorted.
 
     Uniform without replacement, deterministic given `seed`.
     """
@@ -124,53 +128,50 @@ def cur_factorize(a, selection: IndexSelection) -> CurFactors:
     return factors
 
 
-def _required_rank(target_rank: int, s: int, k: int, rank_a: int) -> int:
-    """Rank an s x k U must reach; no selection can exceed rank(A) itself."""
-    if s < 1 or k < 1:
-        raise ValueError("s and k must be >= 1")
-    required = min(target_rank, s, k, rank_a)
+def _required(a: np.ndarray, target_rank: int, s: int, k: int, sing: np.ndarray) -> int:
+    """min(target_rank, s, k, rank(A)) of validated `a` from the singular values `sing` of an
+    s x k U of it, without A's SVD where they prove rank(A) >= r0 = min(target_rank, s, k).
+
+    Singular values interlace for submatrices (Thompson 1972): sigma_i(U) <= sigma_i(A), and
+    sigma_1(A) <= ||A||_F <= sqrt(mn) max|a_ij|, a maximum that is exact in floating point.  So
+    sigma_r0(U) above twice `numerical_rank`'s cutoff at that bound puts r0 singular values of A
+    above its cutoff; the factor 2 covers LAPACK's backward error of p(n) eps sigma_1, far below
+    RANK_TOL max(m, n) sigma_1.  Where the bound is not a finite normal float, or U misses it,
+    A's SVD decides.
+    """
+    m, n = a.shape
+    r0 = min(target_rank, s, k)
+    bound = 2 * RANK_TOL * max(m, n) * math.sqrt(m * n) * float(max(a.max(), -a.min()))
+    if r0 >= 1 and math.isfinite(bound) and bound >= sys.float_info.min and sing[r0 - 1] > bound:
+        return r0
+    required = min(r0, numerical_rank(a))
     if required < 1:
         raise SelectionFailed(0, "target rank 0 is degenerate")
     return required
 
 
-def _certified_required(a: np.ndarray, target_rank: int, s: int, k: int, seed: int) -> int:
-    """`_required_rank(target_rank, s, k, numerical_rank(a))` of validated `a`, without A's SVD
-    when the first draw from `seed` proves rank(A) >= r0 = min(target_rank, s, k).
+def _draws(a: np.ndarray, target_rank: int, s: int, k: int, seeds, max_retries=MAX_RETRIES):
+    """For each seed, the first draw of validated `a` (seeds seed, seed + 1, ...) whose U reaches
+    the required rank, as (required, rows, columns, U's SVD cut to rank(U)).
 
-    Singular values interlace for submatrices (Thompson 1972): sigma_i(U) <= sigma_i(A) for U
-    of the draw, and sigma_1(A) <= ||A||_F <= sqrt(mn) max|a_ij|, a maximum that is exact in
-    floating point.  So sigma_r0(U) above twice `numerical_rank`'s cutoff at that bound puts
-    r0 singular values of A above its cutoff; the factor 2 covers LAPACK's backward error of
-    p(n) eps sigma_1, far below RANK_TOL max(m, n) sigma_1.  Where the bound is not a finite
-    normal float, or the draw misses it, A's SVD decides as before.
+    The first seed's first attempt also decides the required rank (`_required`).  Draws come
+    from `_draw`, exactly as `select_uniform` makes them, and are not validated again.
     """
     m, n = a.shape
-    r0 = min(target_rank, s, k)
-    bound = 2 * RANK_TOL * max(m, n) * math.sqrt(m * n) * float(max(a.max(), -a.min()))
-    if r0 >= 1 and s <= m and k <= n and math.isfinite(bound) and bound >= sys.float_info.min:
-        rows, cols = _draw(m, n, s, k, seed)
-        u = a[rows] if k == n else a[np.ix_(rows, cols)]  # the seed's U, as `_sample` takes it
-        if np.linalg.svd(u, compute_uv=False)[r0 - 1] > bound:
-            return r0
-    return _required_rank(target_rank, s, k, numerical_rank(a))
-
-
-def _sample(a: np.ndarray, s: int, k: int, required: int, seed: int, max_retries=MAX_RETRIES):
-    """Rows and columns of the first draw of validated `a` with rank(U) >= `required`, and U's SVD.
-
-    The SVD is cut to rank(U).  Draws come from `_draw`, exactly as `select_uniform` makes them,
-    and are not validated again.
-    """
-    m, n = a.shape
-    for attempt in range(max_retries):
-        rows, cols = _draw(m, n, s, k, seed + attempt)
-        u = a[rows] if k == n else a[np.ix_(rows, cols)]  # every column: a plain row gather
-        left, sing, right = np.linalg.svd(u, full_matrices=False)
-        rank = np.count_nonzero(sing > _rank_cutoff(sing, u.shape))
-        if rank >= required:
-            return rows, cols, (left[:, :rank], sing[:rank], right[:rank])
-    raise SelectionFailed(max_retries)
+    required = None
+    for seed in seeds:
+        for attempt in range(max_retries):
+            rows, cols = _draw(m, n, s, k, seed + attempt)
+            u = a[rows] if k == n else a[np.ix_(rows, cols)]  # every column: a plain row gather
+            left, sing, right = np.linalg.svd(u, full_matrices=False)
+            if required is None:
+                required = _required(a, target_rank, s, k, sing)
+            rank = np.count_nonzero(sing > _rank_cutoff(sing, u.shape))
+            if rank >= required:
+                yield required, rows, cols, (left[:, :rank], sing[:rank], right[:rank])
+                break
+        else:
+            raise SelectionFailed(max_retries)
 
 
 def cur_sample(
@@ -191,6 +192,6 @@ def cur_sample(
     deterministic.
     """
     a = as_matrix(a)
-    required = _certified_required(a, min(s, k) if target_rank is None else target_rank, s, k, seed)
-    rows, cols, _ = _sample(a, s, k, required, seed, max_retries)
+    target_rank = min(s, k) if target_rank is None else target_rank
+    _, rows, cols, _ = next(_draws(a, target_rank, s, k, [seed], max_retries))
     return _extract(a, IndexSelection(row_indices=rows, col_indices=cols))

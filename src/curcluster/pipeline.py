@@ -8,7 +8,9 @@ spectral partition.  `simgen.median_aggregate` medians the noisy
 pipelines' Gram matrices from their trials' stored factors, one tile at a
 time; below a size that arithmetic sets, the median pipeline copies each
 trial's Gram matrix into a stack instead, block by block in the order the
-median walks it.  The rank sweep's ranks share its draws.
+median walks it.  The rank sweep's ranks share its draws.  Both noisy
+pipelines take their draws from one generator, `cur._draws`, which hands
+each trial its U's SVD and the rank the trial needs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import cluster as _cluster
 from . import simgen
 from .cluster import LabelVector
-from .cur import _certified_required, _sample
+from .cur import _draws
 from .linalg import _pinv_from_svd, as_matrix
 
 BACKENDS = ("pcc", "spectral", "kmeans")
@@ -109,22 +111,22 @@ def cluster_noise_free(w) -> LabelVector:
     return _cluster.connected_components(simgen.sim_baseline(w, min(np.shape(w))))
 
 
-def _proto_factor(w, draw, m_subspaces: int, rank: int, y: np.ndarray) -> np.ndarray:
+def _proto_factor(w, draw, m_subspaces: int, y: np.ndarray) -> np.ndarray:
     """proto's trial factor F of one draw of `w`: Y = pinv(U) R written into `y`, thresholded.
 
-    `draw` is `cur._sample`'s (rows, columns, U's SVD) with k columns, and `y` a C-contiguous
-    k x n float64 array.  The SVD is cut to `rank`, U's best rank-`rank` approximation (Eckart
-    and Young 1936), so that s rows beyond the target rank estimate a rank-`rank` row space; at
-    s = rank the cut changes nothing.  `simgen.threshold_volumetric` (looked up at call time)
-    rounds Y in place to F (k x n float32) over `y`'s first 4kn bytes and finds its cut in the
-    next 4kn.
+    `draw` is `cur._draws`' (rank, rows, columns, U's SVD) with k columns, and `y` a
+    C-contiguous k x n float64 array.  The SVD is cut to the draw's required `rank`, U's best
+    rank-`rank` approximation (Eckart and Young 1936), so that s rows beyond the target rank
+    estimate a rank-`rank` row space; at s = rank the cut changes nothing.
+    `simgen.threshold_volumetric` (looked up at call time) rounds Y in place to F (k x n
+    float32) over `y`'s first 4kn bytes and finds its cut in the next 4kn.
     """
-    rows, _, (u, s, vt) = draw
+    rank, rows, _, (u, s, vt) = draw
     np.matmul(_pinv_from_svd(u[:, :rank], s[:rank], vt[:rank]), w[rows], out=y)
     return simgen.threshold_volumetric(y, m_subspaces)
 
 
-def _proto_stack(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
+def _proto_stack(w, draws, m_subspaces: int, k: int, n_trials: int) -> np.ndarray:
     """proto's n_trials trial Gram matrices F.T F, folded into one float32 stack.
 
     Row i holds trial i's F.T F block by block, in the order `simgen.median_aggregate` walks it
@@ -142,12 +144,12 @@ def _proto_stack(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -
     y = buffer[: k * n].reshape(k, n)
     gram = buffer.view(np.float32)[k * n : k * n + n * n].reshape(n, n)
     for row, draw in zip(stack, draws, strict=True):
-        f = _proto_factor(w, draw, m_subspaces, rank, y)
+        f = _proto_factor(w, draw, m_subspaces, y)
         simgen.fold(np.matmul(f.T, f, out=gram), row)
     return stack
 
 
-def _proto_factors(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int) -> np.ndarray:
+def _proto_factors(w, draws, m_subspaces: int, k: int, n_trials: int) -> np.ndarray:
     """proto's n_trials trial factors F (k x n float32 each), as one (n_trials, k, n) view.
 
     One buffer holds n_trials + 1 slots of kn float32 entries, kn rounded up to even so that
@@ -160,7 +162,7 @@ def _proto_factors(w, draws, m_subspaces: int, k: int, rank: int, n_trials: int)
     slots = np.empty((n_trials + 1) * stride // 2).view(np.float32)
     for i, draw in enumerate(draws):
         y = slots[i * stride : i * stride + 2 * k * n].view(np.float64).reshape(k, n)
-        _proto_factor(w, draw, m_subspaces, rank, y)
+        _proto_factor(w, draw, m_subspaces, y)
     return slots.reshape(n_trials + 1, stride)[:n_trials, : k * n].reshape(n_trials, k, n)
 
 
@@ -192,10 +194,8 @@ def _rcur_factors(w, r_max: int, seeds) -> np.ndarray:
     scale up: R's zero columns stay 0.
     """
     n = w.shape[1]
-    required = _certified_required(w, r_max, r_max, n, seeds[0])
     factors = np.zeros((len(seeds), r_max, n))
-    for factor, seed in zip(factors, seeds):
-        rows, _, (_, _, vt) = _sample(w, r_max, n, required, seed)
+    for factor, (_, rows, _, (_, _, vt)) in zip(factors, _draws(w, r_max, r_max, n, seeds)):
         factor[: len(vt)] = np.where(w[rows].any(axis=0), vt, 0.0)
     return factors
 
@@ -213,12 +213,10 @@ def proto_similarity(w, config: ProtoConfig) -> simgen.SimilarityMatrix:
         raise ValueError("target_rank exceeds min(m, n)")
     n = w.shape[1]
     rows, cols = config.rows(), config.cols(n)
-    required = _certified_required(w, config.target_rank, rows, cols, config.seed)
-    draws = (_sample(w, rows, cols, required, seed)
-             for seed in range(config.seed, config.seed + config.n_trials))
+    draws = _draws(w, config.target_rank, rows, cols,
+                   range(config.seed, config.seed + config.n_trials))
     trials = _proto_factors if _stores_factors(config.n_trials, cols, n) else _proto_stack
-    sim = simgen.median_aggregate(
-        trials(w, draws, config.m_subspaces, cols, required, config.n_trials), n)
+    sim = simgen.median_aggregate(trials(w, draws, config.m_subspaces, cols, config.n_trials), n)
     simgen.enforce_diagonal(sim.entries)  # in place; still symmetric and nonnegative
     return sim
 

@@ -6,9 +6,9 @@ from curcluster.cur import (
     IndexSelection,
     RankDeficientSelection,
     SelectionFailed,
-    _certified_required,
-    _required_rank,
-    _sample,
+    _draw,
+    _draws,
+    _required,
     cur_factorize,
     cur_sample,
     select_uniform,
@@ -59,6 +59,16 @@ class TestSelectUniform:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             IndexSelection(row_indices=np.array([0, 0]), col_indices=np.array([1]))
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        # each failed inside np.ix_ with numpy's "Cross index must be 1 dimensional"
+        (np.array([[0, 1]]), np.array([0, 1]), "row index set must be one-dimensional, got ndim=2"),
+        (np.array(1), np.array([0, 1]), "row index set must be one-dimensional, got ndim=0"),
+        (np.array([0, 1]), np.array([[0], [1]]), "col index set must be one-dimensional"),
+    ])
+    def test_rejects_index_sets_not_one_dimensional(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            cur_factorize(np.eye(3), IndexSelection(row_indices=rows, col_indices=cols))
 
 
 class TestCurFactorize:
@@ -177,36 +187,44 @@ def hidden_rank(rng):
 
 
 class TestSampler:
-    """The one-SVD sampler behind cur_sample and the pipelines."""
+    """The one-SVD draw generator behind cur_sample and the pipelines."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_same_selection_as_rank_check_loop(self, rng, seed):
+    def test_same_selection_as_rank_check_loop(self, rng, monkeypatch, seed):
         a = hidden_rank(rng)
-        required = _required_rank(3, 12, 12, numerical_rank(a))
-        # the draw a separate numerical_rank(U) per attempt would accept
-        for attempt in range(100):
-            expected = select_uniform(20, 20, 12, 12, seed + attempt)
-            u = a[np.ix_(expected.row_indices, expected.col_indices)]
-            if numerical_rank(u) >= required:
-                break
-        rows, cols, _ = _sample(a, 12, 12, required, seed, max_retries=100)
-        factors = cur_sample(a, 12, 12, seed=seed, target_rank=3)
-        for got in (IndexSelection(rows, cols), factors.selection):
-            np.testing.assert_array_equal(got.row_indices, expected.row_indices)
-            np.testing.assert_array_equal(got.col_indices, expected.col_indices)
+        # target 3 = rank(A): the first draw's U proves it when it has rank 3; target 4 > rank(A):
+        # no U proves it, and A's SVD decides; either way the first attempt is drawn once
+        for target_rank in (3, 4):
+            required = min(target_rank, 12, 12, numerical_rank(a))
+            # the draw a separate numerical_rank(U) per attempt would accept
+            for attempt in range(100):
+                expected = select_uniform(20, 20, 12, 12, seed + attempt)
+                u = a[np.ix_(expected.row_indices, expected.col_indices)]
+                if numerical_rank(u) >= required:
+                    break
+            draws = []
+            with monkeypatch.context() as patch:
+                patch.setattr("curcluster.cur._draw", lambda *args: draws.append(1) or _draw(*args))
+                got_required, rows, cols, _ = next(_draws(a, target_rank, 12, 12, [seed], 100))
+            assert got_required == required
+            assert len(draws) == attempt + 1
+            factors = cur_sample(a, 12, 12, seed=seed, target_rank=target_rank)
+            for got in (IndexSelection(rows, cols), factors.selection):
+                np.testing.assert_array_equal(got.row_indices, expected.row_indices)
+                np.testing.assert_array_equal(got.col_indices, expected.col_indices)
 
     @pytest.mark.parametrize("s, k", [(4, 20), (6, 9), (20, 20)])
     def test_y_is_coefficient_matrix(self, rng, s, k):
         a = planted(rng, 20, 20, 4) + 1e-3 * rng.standard_normal((20, 20))
         factors = cur_sample(a, s, k, seed=3, target_rank=4)
-        rows, _, svd = _sample(a, s, k, _required_rank(4, s, k, numerical_rank(a)), 3, 100)
+        _, rows, _, svd = next(_draws(a, 4, s, k, [3], 100))
         y = _pinv_from_svd(*svd) @ a[rows]
         np.testing.assert_array_equal(y, coefficient_matrix(factors))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_svd_is_cut_to_rank_of_u(self, rng, seed):
         a = hidden_rank(rng)  # every accepted 12 x 12 U has rank 3
-        rows, cols, svd = _sample(a, 12, 12, _required_rank(3, 12, 12, 3), seed, 100)
+        _, rows, cols, svd = next(_draws(a, 3, 12, 12, [seed], 100))
         u = a[np.ix_(rows, cols)]
         assert [part.shape for part in svd] == [(12, 3), (3,), (3, 12)]
         assert len(svd[1]) == numerical_rank(u)
@@ -231,20 +249,22 @@ def rank_instances(draw):
 
 
 class TestCertifiedRequired:
-    """The first draw's U proves rank(A) >= min(target, s, k) in place of A's SVD, or A's SVD
-    decides: either way the rank is `_required_rank`'s."""
+    """The singular values of the seed's first draw prove rank(A) >= min(target, s, k) in place
+    of A's SVD, or A's SVD decides: either way the rank is min(target, s, k, rank(A))."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(instance=rank_instances())
     def test_equals_required_rank_of_the_data(self, instance):
         a, target, s, k, seed = instance
         assert np.isfinite(a).all()
-        expected = _required_rank(target, s, k, numerical_rank(a))
-        assert _certified_required(a, target, s, k, seed) == expected
+        expected = min(target, s, k, numerical_rank(a))
+        rows, cols = _draw(*a.shape, s, k, seed)
+        sing = np.linalg.svd(a[np.ix_(rows, cols)], full_matrices=False)[1]  # as `_draws` takes it
+        assert _required(a, target, s, k, sing) == expected
 
     def test_zero_matrix_fails(self):
         with pytest.raises(SelectionFailed, match="target rank 0 is degenerate"):
-            _certified_required(np.zeros((6, 5)), 3, 4, 5, seed=0)
+            next(_draws(np.zeros((6, 5)), 3, 4, 5, [0]))
 
     @pytest.mark.parametrize("target_rank", [None, 6])
     def test_cur_sample_on_noisy_data_takes_no_svd_of_a(self, rng, monkeypatch, target_rank):

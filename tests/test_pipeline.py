@@ -136,7 +136,7 @@ class TestProtoCluster:
         # at s = 4r rows U's SVD is cut to r, so Y = pinv(U) R projects onto a rank-r row space;
         # uncut, a noisy U has full rank s
         w = sample_instance(random_union_model(40, [3, 3], seed=7), [20, 20], 0.05, seed=8).data
-        assert len(cur._sample(w, 24, 40, 6, 0)[2][1]) == 24
+        assert len(next(cur._draws(w, 6, 24, 40, [0]))[3][1]) == 24
         ranks = []
         kernel = simgen.threshold_volumetric
         monkeypatch.setattr(simgen, "threshold_volumetric",
@@ -268,7 +268,7 @@ class TestRcurCluster:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count np.linalg.svd calls and row/column draws (`select_uniform`'s and `_sample`'s)."""
+    """Count np.linalg.svd calls and row/column draws (`select_uniform`'s and `_draws`')."""
     calls = {"svd": 0, "select": 0}
     svd, select = np.linalg.svd, cur._draw
 
@@ -286,8 +286,8 @@ def counted(monkeypatch):
 
 
 class TestOneSvdPerTrial:
-    """One draw and its singular values per pipeline call, which prove the rank the trials need
-    (`cur._certified_required`) in place of W's SVD, then one SVD of U per accepted draw."""
+    """One draw and one SVD of U per accepted trial and no other: the first trial's own singular
+    values prove the rank the trials need (`cur._required`) in place of W's SVD."""
 
     def noisy(self):
         model = random_union_model(30, [3, 3], seed=40)
@@ -296,8 +296,8 @@ class TestOneSvdPerTrial:
     def test_proto(self, counted):
         cfg = ProtoConfig(m_subspaces=2, target_rank=6, n_trials=7, seed=2)
         proto_similarity(self.noisy().data, cfg)
-        assert counted["select"] == 1 + 7  # every first draw was rank-sufficient
-        assert counted["svd"] == 1 + 7
+        assert counted["select"] == 7  # every first draw was rank-sufficient
+        assert counted["svd"] == 7
 
     def test_rcur(self, counted):
         # one draw of r_max rows per trial serves every rank
@@ -305,9 +305,9 @@ class TestOneSvdPerTrial:
             counted.update(svd=0, select=0)
             cfg = RcurConfig(r_min=r_min, r_max=6, alpha=2.0, n_trials=5, seed=1)
             rcur_cluster(self.noisy().data, 2, cfg)
-            assert counted["select"] == 1 + 5
+            assert counted["select"] == 5
             # eigh, not svd, embeds the spectral step
-            assert counted["svd"] == 1 + 5
+            assert counted["svd"] == 5
 
 
 class TestCertifiedRank:
@@ -476,7 +476,7 @@ class TestTrialWorkspace:
     def draws(k, n, seeds):
         model = random_union_model(30, [4, 4, 4], seed=80)
         w = sample_instance(model, [n // 3] * 3, 0.01, seed=81).data
-        return w, [cur._sample(w, 12, k, 12, seed) for seed in seeds]
+        return w, list(cur._draws(w, 12, 12, k, seeds))
 
     # proto_n1200's trial takes 288 of its 1200 columns by default, 1200 with cols_per_trial=1200
     @pytest.mark.parametrize("k, n", [(150, 150), (300, 300), (1200, 1200), (288, 1200),
@@ -492,9 +492,9 @@ class TestTrialWorkspace:
             fold(gram, row)
 
         monkeypatch.setattr(simgen, "fold", recording)
-        stack = pipeline._proto_stack(w, draws, 3, k, 12, 2)
+        stack = pipeline._proto_stack(w, draws, 3, k, 2)
         monkeypatch.undo()
-        for (rows, _, svd), row in zip(draws, stack, strict=True):
+        for (_, rows, _, svd), row in zip(draws, stack, strict=True):
             f = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
             fresh, folded = np.empty((n, n), dtype=np.float32), np.empty_like(row)
             simgen.fold(np.matmul(f.T, f, out=fresh), folded)
@@ -513,7 +513,7 @@ class TestTrialWorkspace:
 
         monkeypatch.setattr(simgen, "fold", tracing)
         try:
-            pipeline._proto_stack(w, draws, 3, n, 12, 4)
+            pipeline._proto_stack(w, draws, 3, n, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,10 +577,10 @@ class TestStoredFactors:
     def test_factors_in_their_slots_match_fresh(self):
         w = self.instance(100)
         k, n = 61, w.shape[1]  # kn odd: every slot is padded to an even count
-        draws = [cur._sample(w, 12, k, 12, seed) for seed in range(3)]
-        factors = pipeline._proto_factors(w, draws, 3, k, 12, 3)
+        draws = list(cur._draws(w, 12, 12, k, range(3)))
+        factors = pipeline._proto_factors(w, draws, 3, k, 3)
         assert factors.shape == (3, k, n) and factors.dtype == np.float32
-        for (rows, _, svd), f in zip(draws, factors, strict=True):
+        for (_, rows, _, svd), f in zip(draws, factors, strict=True):
             fresh = threshold(linalg._pinv_from_svd(*svd) @ w[rows], 3)
             np.testing.assert_array_equal(f.view(np.uint32), fresh.view(np.uint32))
 
@@ -647,10 +647,9 @@ class TestPinOnce:
         w = sample_instance(model, [12, 12, 12], 0.05, seed=71).data
         cfg = ProtoConfig(m_subspaces=3, target_rank=9, n_trials=n_trials, seed=5)
         n = w.shape[1]
-        required = cur._required_rank(cfg.target_rank, cfg.rows(), n, numerical_rank(w))
         trials = []
-        for seed in range(cfg.seed, cfg.seed + n_trials):
-            rows, _, svd = cur._sample(w, cfg.rows(), n, required, seed)
+        seeds = range(cfg.seed, cfg.seed + n_trials)
+        for _, rows, _, svd in cur._draws(w, cfg.target_rank, cfg.rows(), n, seeds):
             f = proto_factor(3)(w[rows], svd)  # float32, as the loop's Gram products
             trials.append(simgen.enforce_diagonal(f.T @ f))
         med = np.abs(np.median(np.array(trials), axis=0)).astype(np.float64)
@@ -677,10 +676,8 @@ def full_stack_median(w, rows, target_rank, seeds, factor):
     float64, as the packed median is.
     """
     n = w.shape[1]
-    required = cur._required_rank(target_rank, rows, n, numerical_rank(w))
     stack = np.empty((len(seeds), n, n), dtype=np.float32)
-    for i, seed in enumerate(seeds):
-        row_indices, _, svd = cur._sample(w, rows, n, required, seed)
+    for i, (_, row_indices, _, svd) in enumerate(cur._draws(w, target_rank, rows, n, seeds)):
         y = factor(w[row_indices], svd).astype(np.float32)
         np.matmul(y.T, y, out=stack[i])
     med = np.abs(np.median(stack, axis=0)).astype(np.float64)
@@ -773,7 +770,7 @@ class TestFloat32RankCutoff:
         # of the row space (U_r is 2 x 2 orthogonal), so every trial has the Gram coords coords.T
         w = np.random.default_rng(90).standard_normal((20, 2)) @ np.ones((2, n))
         w[1] += np.arange(n)
-        factors = [cur._sample(w, 2, n, 2, seed)[2][0].T @ coords.T for seed in range(7)]
+        factors = [svd[0].T @ coords.T for _, _, _, svd in cur._draws(w, 2, 2, n, range(7))]
         float32 = simgen.median_aggregate(np.array(factors, dtype=np.float32))
         trials = [f.T @ f for f in factors]
         med = np.abs(np.median(trials, axis=0))
@@ -985,8 +982,7 @@ class TestRcurFactor:
         n = w.shape[1]
         factors = pipeline._rcur_factors(w, r_max, [seed])
         assert factors.shape == (1, r_max, n) and factors.dtype == np.float64
-        required = cur._required_rank(r_max, r_max, n, numerical_rank(w))
-        rows = w[cur._sample(w, r_max, n, required, seed)[0]]
+        rows = w[next(cur._draws(w, r_max, r_max, n, [seed]))[1]]
         medians = []  # each rank's float32 F and its median, as rcur_cluster takes them
         median_aggregate = simgen.median_aggregate
         with pytest.MonkeyPatch.context() as patch:
