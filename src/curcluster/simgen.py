@@ -12,8 +12,8 @@ median visits the upper triangle in one walk of blocks, whether the
 trials' Gram matrices come as a stack whose rows hold them in that order
 or as the trials' factors, whose Gram columns are taken a tile at a time.
 A tile's blocks of every trial form one slab, whose median along the
-trial axis is a pruned Batcher min/max network up to 32 trials and a
-partition past that.
+trial axis is a pruned Batcher min/max network up to 32 trials and an
+in-place sort past that.
 
 Coefficient matrices are plain k x n numpy arrays; a `SimilarityMatrix`
 carries its entries only and validates them where it is built, except
@@ -122,7 +122,8 @@ def similarity_noise_free(y, d_max: int, kind: str) -> SimilarityMatrix:
     q = _gram(as_matrix(y), kind)
     if kind == "binary":
         return SimilarityMatrix(entries=_pattern_power(q, d_max))
-    powered = matrix_power(q, d_max)
+    with np.errstate(over="ignore"):  # the check below names d_max, with no warning of its own
+        powered = matrix_power(q, d_max)
     if not np.all(np.isfinite(powered)):
         raise ValueError(f"the absolute power (Y.T Y)^d_max overflows float64 at d_max={d_max}; "
                          "the binary kind has the same zero pattern and cannot overflow")
@@ -230,16 +231,15 @@ def _middle(slab: np.ndarray) -> np.ndarray:
 
     Up to 32 rows (where the network has at most 5t comparators) `_network(t)` runs as whole-row
     `np.minimum` / `np.maximum` passes, with one spare row whose reference a two-sided comparator
-    swaps for the row it replaced; past 32 one partition at t // 2 finds the median, and for an
-    even t the lower middle is then the largest entry below t // 2.  Both pick input entries, so
-    they give the same bits: an even t averages the upper and the lower middle, and the absolute
-    value is taken in place.
+    swaps for the row it replaced; past 32 the slab is sorted along the trial axis in place, and
+    no network is built.  Either way rows t // 2 and t // 2 - 1 then hold the upper and the lower
+    middle.  Both kernels pick input entries, so they give the same bits: an even t averages the
+    two middles, and the absolute value is taken in place.
     """
     t = len(slab)
-    network = _network(t)
-    if len(network) <= 5 * t:
+    if t <= 32:
         rows, spare = list(slab), np.empty_like(slab[0])
-        for i, j, lo, hi in network:
+        for i, j, lo, hi in _network(t):
             if lo and hi:
                 np.minimum(rows[i], rows[j], out=spare)
                 np.maximum(rows[i], rows[j], out=rows[j])
@@ -248,11 +248,10 @@ def _middle(slab: np.ndarray) -> np.ndarray:
                 np.minimum(rows[i], rows[j], out=rows[i])
             else:
                 np.maximum(rows[i], rows[j], out=rows[j])
-        mid, lower = rows[t // 2], rows[t // 2 - 1]
     else:
-        slab.partition(t // 2, axis=0)
-        mid = slab[t // 2]  # a view: no array of its own at the caller's memory peak
-        lower = slab[: t // 2].max(axis=0) if t % 2 == 0 else None
+        slab.sort(axis=0)  # lane by lane through a buffer of t entries: no slab-sized copy
+        rows = slab
+    mid, lower = rows[t // 2], rows[t // 2 - 1]  # views: no array at the caller's memory peak
     if t % 2 == 0:
         mid += lower
         mid /= 2
@@ -382,7 +381,8 @@ def elementwise_power(sim: SimilarityMatrix, alpha: float) -> SimilarityMatrix:
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     entries = sim.entries  # a frozen field: raise the array, not the attribute
-    entries **= alpha
+    with np.errstate(over="ignore"):  # the check below names alpha, with no warning of its own
+        entries **= alpha
     if not np.isfinite(entries).all():
         raise ValueError(f"alpha={alpha} overflows float64 in the elementwise power")
     return sim

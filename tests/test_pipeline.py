@@ -402,7 +402,7 @@ class TestDegenerateInput:
 
 
 class TestTrialLoopOwnsStack:
-    """Each Gram product goes straight into the stack, which the median partitions in place."""
+    """Each Gram product goes straight into the stack, which the median reorders in place."""
 
     @pytest.mark.parametrize("run", [
         lambda w: proto_similarity(w, ProtoConfig(3, 12, n_trials=25)),

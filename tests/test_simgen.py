@@ -23,6 +23,7 @@ from curcluster.simgen import (
     threshold_volumetric,
     _LEAF,
     _blocks,
+    _middle,
     _network,
     _row_length,
     _tile_width,
@@ -131,8 +132,8 @@ class TestSimilarityNoiseFree:
         model = random_union_model(300, (4, 4, 4), 0)
         w = sample_instance(model, (100, 100, 100), 0.0, 1).data
         y = pinv(w) @ w
-        with (pytest.warns(RuntimeWarning, match="overflow"),
-              pytest.raises(ValueError, match="overflows float64 at d_max=5000.*binary kind")):
+        # no RuntimeWarning escapes: the suite turns one into an error
+        with pytest.raises(ValueError, match="overflows float64 at d_max=5000.*binary kind"):
             similarity_noise_free(y, 5000, "absolute")
 
     def test_binary_pattern_matches_float_power(self, rng):
@@ -493,7 +494,7 @@ def symmetric_stacks(draw, counts, dtype=np.float64):
 
 
 class TestMedianMatchesNumpy:
-    """One partition at k // 2 gives np.median's value bit for bit, on a finite stack."""
+    """The min/max network and the sort give np.median's value bit for bit, on a finite stack."""
 
     @pytest.mark.parametrize("counts", TRIAL_COUNTS.values(), ids=TRIAL_COUNTS.keys())
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -520,19 +521,21 @@ class TestMedianMatchesNumpy:
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_many_trials(self, rng):
-        # past a few dozen trials numpy's partition no longer leaves the lower middle at k // 2 - 1
+        # 400 trials, far past the network's 32: the lower middle is the sorted row k // 2 - 1
         stack = pack([a + a.T for a in rng.standard_normal((400, 20, 20))])
         expected = np.abs(np.median(stack, axis=0))
         got = pack([median_aggregate(stack, 20).entries])[0]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    # past 32 trials the median partitions; the min/max network leaves no partition behind
+    # past 32 trials the median sorts the stack in place, and a sorted stack is a partition of
+    # it; the min/max network leaves no partition behind
     @pytest.mark.parametrize("k", [33, 34, 49, 50])
     def test_partitions_the_stack_in_place(self, rng, k):
         stack = pack([a + a.T for a in rng.standard_normal((k, 5, 5))])
         column_sorted = np.sort(stack, axis=0)
         median = pack([median_aggregate(stack, 5).entries])[0]
-        # the median is formed in row k // 2; the rows around it hold a partition of the rest
+        # the median is formed in row k // 2; the rows around it hold the rest, sorted, so also
+        # partitioned
         np.testing.assert_array_equal(stack[k // 2], median)
         rest = np.delete(stack, k // 2, axis=0)
         np.testing.assert_array_equal(np.sort(rest, axis=0),
@@ -594,13 +597,51 @@ class TestNetwork:
         assert all(i < j < t for i, j, _, _ in _network(t))
 
 
+class TestSortedMiddle:
+    """Past 32 trials `_middle` sorts the slab in place along the trial axis."""
+
+    @pytest.mark.parametrize("t", [33, 50, 64])
+    def test_peak_below_a_sixteenth_of_the_slab(self, rng, t):
+        # numpy sorts the strided trial axis lane by lane through a buffer of t entries, with no
+        # copy of the slab
+        slab = rng.standard_normal((t, 14_400)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _middle(slab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slab.nbytes / 16, f"peak {peak / slab.nbytes:.3f} slabs"
+
+    @pytest.mark.parametrize("t", [33, 34, 50, 64, 101])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_for_bit_with_numpy(self, rng, t, dtype):
+        # integers from -3 to 3 repeat in every lane, and their zeros carry either sign
+        slab = rng.standard_normal((t, 3_000)) * 2.0
+        slab[:, ::2] = np.round(slab[:, ::2])
+        slab[slab == 0] = rng.choice([0.0, -0.0], size=int((slab == 0).sum()))
+        slab = slab.astype(dtype)
+        expected = np.abs(np.median(slab, axis=0))
+        got = _middle(slab)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
+
+    def test_builds_no_network(self, rng):
+        # `_network` is cached for the process: at 2,000 trials it takes about a second and keeps
+        # 6.5 MiB (48,952 comparators) that the sort never reads
+        before = _network.cache_info()
+        _middle(rng.standard_normal((2_000, 4)))
+        after = _network.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 @st.composite
 def trial_factors(draw, n=st.integers(129, 400).filter(lambda n: n % _tile_width(n))):
     """t float32 factors F (k x n): by default n past one tile and not a multiple of the tile
     width, some columns zero with either sign, and half of them rounded to integers (ties, and
     -0.0 in the Gram products wherever a zero column meets a negative one).  t = 50 with k <= 14
     is rcur's shape (50 trials of at most r_max = 14 rows); t = 32 and 33 are the last count the
-    min/max network takes and the first that partitions."""
+    min/max network takes and the first that the sort takes."""
     t = draw(st.sampled_from([1, 2, 3, 24, 25, 32, 33, 50]))
     n = draw(n)
     k = draw(st.integers(1, 14 if t == 50 else 16))
@@ -714,8 +755,8 @@ class TestElementwisePower:
     def test_overflow_names_alpha(self):
         # a median entry can exceed 1 by round-off; the old out-of-place power was validated
         sim = SimilarityMatrix(entries=np.full((2, 2), 1.0 + 2.0**-52))
-        with (pytest.warns(RuntimeWarning, match="overflow"),
-              pytest.raises(ValueError, match="alpha=1e\\+300 overflows float64")):
+        # no RuntimeWarning escapes: the suite turns one into an error
+        with pytest.raises(ValueError, match="alpha=1e\\+300 overflows float64"):
             elementwise_power(sim, 1e300)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
